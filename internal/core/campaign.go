@@ -536,8 +536,9 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 		return nil, fmt.Errorf("core: campaign %s aborted: %w", ds.Benchmark, err)
 	}
 
-	if cfg.OutlierMAD > 0 {
-		screenOutliers(&cfg, co, ds, measurers, build, trace, ckpt)
+	if err := screenOutliers(&cfg, co, ds, measurers, build, trace, ckpt); err != nil {
+		campSpan.End()
+		return nil, fmt.Errorf("core: campaign %s aborted in the outlier screen: %w", ds.Benchmark, err)
 	}
 	campSpan.End()
 	if co != nil {
@@ -692,8 +693,18 @@ func measurementValid(m pmc.Measurement) bool {
 // the original. Invalid measurements (NaN/zero-instruction counter
 // reads) are excluded from the median and MAD, always re-measured, and
 // degraded to StatusFailed when the re-measurement cannot produce a
-// valid reading — garbage counters must not pose as data.
-func screenOutliers(cfg *CampaignConfig, co *campaignObs, ds *Dataset, measurers []measureSeam, build buildSeam, trace *interp.Trace, ckpt *checkpointWriter) {
+// valid reading — garbage counters must not pose as data. A zero or
+// negative cfg.OutlierMAD disables the screen.
+//
+// The re-measurement pool has one worker per measurer: worker w owns
+// measurers[w]. A re-measurement that panics settles exactly like one
+// that returned an error, and every failed re-measurement is counted.
+// The returned error is non-nil only when the campaign's context ends
+// the sweep early, leaving flagged layouts unsettled.
+func screenOutliers(cfg *CampaignConfig, co *campaignObs, ds *Dataset, measurers []measureSeam, build buildSeam, trace *interp.Trace, ckpt *checkpointWriter) error {
+	if cfg.OutlierMAD <= 0 {
+		return nil
+	}
 	idx := ds.usableIdx()
 	var valid, flagged []int
 	var cpis []float64
@@ -717,7 +728,7 @@ func screenOutliers(cfg *CampaignConfig, co *campaignObs, ds *Dataset, measurers
 		}
 	}
 	if len(flagged) == 0 {
-		return
+		return nil
 	}
 	sort.Ints(flagged)
 	screenSpan := obs.Span{}
@@ -726,14 +737,9 @@ func screenOutliers(cfg *CampaignConfig, co *campaignObs, ds *Dataset, measurers
 		screenSpan = co.o.StartSpan("outlier-screen", obs.SpanID(co.campID, tagOutlier), co.campID, 0)
 	}
 	var mu sync.Mutex
-	workers := normalizeWorkers(cfg.Workers, len(flagged))
-	// Tolerate every re-measurement failing: the screen improves the
-	// dataset when it can and never degrades it.
-	superviseForT(cfg.context(), workers, len(flagged), len(flagged), newSupTel(cfg.Obs), func(w, fi int) error {
-		i := flagged[fi]
-		o, err := measureLayout(cfg, co, measurers[w], build, trace, i, w)
-		mu.Lock()
-		defer mu.Unlock()
+	// settle applies one re-measurement of layout i; pool workers call
+	// it holding mu.
+	settle := func(i int, o Observation, err error) {
 		prev := ds.Obs[i]
 		if err == nil && measurementValid(o.Measurement) {
 			if o.Measurement != prev.Measurement {
@@ -748,12 +754,15 @@ func screenOutliers(cfg *CampaignConfig, co *campaignObs, ds *Dataset, measurers
 					co.o.Prog().Repair()
 				}
 			}
-			return nil
+			return
+		}
+		if co != nil {
+			co.screenFailures.Inc()
 		}
 		if measurementValid(prev.Measurement) {
 			// A valid outlier whose re-measurement failed: keep it, the
 			// screen never degrades a usable observation.
-			return nil
+			return
 		}
 		// The stored observation is a corrupt counter read and it could
 		// not be re-measured into a valid one: degrade it to failed so
@@ -774,10 +783,26 @@ func screenOutliers(cfg *CampaignConfig, co *campaignObs, ds *Dataset, measurers
 		if co != nil {
 			co.layoutsFailed.Inc()
 		}
+	}
+	workers := normalizeWorkers(len(measurers), len(flagged))
+	// Tolerate every re-measurement failing: the screen improves the
+	// dataset when it can and never degrades it.
+	panicked, err := superviseForT(cfg.context(), workers, len(flagged), len(flagged), newSupTel(cfg.Obs), func(w, fi int) error {
+		i := flagged[fi]
+		o, err := measureLayout(cfg, co, measurers[w], build, trace, i, w)
+		mu.Lock()
+		defer mu.Unlock()
+		settle(i, o, err)
 		return nil
 	})
+	// fn returns nil, so every supervised failure is a recovered panic
+	// that never reached settle.
+	for _, f := range panicked {
+		settle(flagged[f.Index], Observation{}, f.Err)
+	}
 	sort.Slice(ds.Failures, func(a, b int) bool { return ds.Failures[a].Index < ds.Failures[b].Index })
 	screenSpan.End()
+	return err
 }
 
 // Extend runs additional layouts (the §6.3 escalation: "we sample a

@@ -28,7 +28,8 @@ func TestMeasurementValid(t *testing.T) {
 }
 
 // screenFixture runs a clean campaign and hands back everything
-// screenOutliers needs to be re-driven against a tampered copy.
+// screenOutliers needs to be re-driven against a tampered copy. The
+// returned config enables the screen at a production-like threshold.
 func screenFixture(t *testing.T, layouts int) (CampaignConfig, *Dataset) {
 	t.Helper()
 	cfg := CampaignConfig{
@@ -47,6 +48,7 @@ func screenFixture(t *testing.T, layouts int) (CampaignConfig, *Dataset) {
 			t.Fatalf("clean campaign produced invalid measurement at layout %d", i)
 		}
 	}
+	cfg.OutlierMAD = 10
 	return cfg, ds
 }
 
@@ -150,5 +152,52 @@ func TestScreenMedianExcludesInvalid(t *testing.T) {
 	}
 	if retried == 0 {
 		t.Error("corrupt layout was not repaired")
+	}
+}
+
+// panicSeam is a measurer whose every read panics.
+type panicSeam struct{}
+
+func (panicSeam) Measure(machine.RunSpec) (pmc.Measurement, error) {
+	panic("counter read exploded")
+}
+
+// TestScreenSurfacesPanics: a re-measurement that panics is recovered
+// by the pool and must settle like a failed re-measurement — the corrupt
+// layout is degraded with the panic as its recorded cause — instead of
+// vanishing with the layout left as data.
+func TestScreenSurfacesPanics(t *testing.T) {
+	cfg, ds := screenFixture(t, 8)
+	const victim = 2
+	ds.Obs[victim].Measurement = pmc.Measurement{Cycles: 999}
+
+	build, _, _, _ := newSeams(&cfg, 1)
+	if err := screenOutliers(&cfg, nil, ds, []measureSeam{panicSeam{}}, build, ds.Trace, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := ds.Obs[victim].Status; got != StatusFailed {
+		t.Fatalf("corrupt layout whose re-measurement panicked has status %v, want StatusFailed", got)
+	}
+	if len(ds.Failures) != 1 || ds.Failures[0].Index != victim || !strings.Contains(ds.Failures[0].Err, "worker panic") {
+		t.Fatalf("failures %+v, want one for layout %d naming the worker panic", ds.Failures, victim)
+	}
+}
+
+// TestScreenDisabledWithoutMAD: a zero OutlierMAD disables the screen,
+// whoever calls it.
+func TestScreenDisabledWithoutMAD(t *testing.T) {
+	cfg, ds := screenFixture(t, 8)
+	cfg.OutlierMAD = 0
+	ds.Obs[4].Measurement = pmc.Measurement{Cycles: 999}
+	before := append([]Observation(nil), ds.Obs...)
+
+	build, _, measurers, _ := newSeams(&cfg, 1)
+	if err := screenOutliers(&cfg, nil, ds, measurers, build, ds.Trace, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ds.Obs {
+		if ds.Obs[i] != before[i] {
+			t.Fatalf("disabled screen changed layout %d", i)
+		}
 	}
 }

@@ -13,11 +13,17 @@ import (
 type LTAGE struct {
 	name string
 
-	base []counter // bimodal base predictor
+	base     []counter // bimodal base predictor
+	baseMask uint64
 
 	comps []tageComp
-	// ghist is the global history, youngest outcome in bit 0 of word 0.
+	// ghist is the global history as a ring of bits: the outcome of age
+	// a is ring bit (ghead+a)&gmask. A push steps ghead back one bit and
+	// overwrites the bit there, the one too old for any component,
+	// instead of shifting every word.
 	ghist   []uint64
+	ghead   uint
+	gmask   uint // ring size in bits - 1; the size is a power of two
 	histLen int
 
 	useAltOnNA int8 // 4-bit signed counter: prefer altpred for weak entries
@@ -29,33 +35,41 @@ type LTAGE struct {
 
 	loop *loopPredictor
 
-	// Scratch from the last Predict, consumed by Update.
+	// Scratch from the last Predict, consumed by Update. The per-table
+	// index and tag live in tageComp.
 	lastProvider int // component index, -1 = base
 	lastAlt      int
 	lastProvPred bool
 	lastAltPred  bool
 	lastWeak     bool
-	lastIdx      []int
-	lastTag      []uint16
 	lastLoopHit  bool
 	lastLoopPred bool
 	predictedPC  uint64
+	lastHash     uint64 // hashPC(predictedPC)
 }
 
+// tageComp is one tagged component: its table, its folded histories and
+// the index and tag the last Predict computed for it, kept together so
+// that one table's hot state shares cache lines.
 type tageComp struct {
-	logg    uint // log2 entries
-	tagBits uint // partial tag width
-	histLen int  // history length
 	entries []tageEntry
+	idxMask uint64 // 1<<logg - 1
+	tagMask uint64 // 1<<tagBits - 1
+	logg    uint   // log2 entries
+	tagBits uint   // partial tag width
+	histLen int    // history length
 	// Folded histories for index and tag computation.
 	foldIdx  folded
 	foldTag1 folded
 	foldTag2 folded
+
+	idx int    // entry index for the last predicted PC
+	tag uint16 // partial tag for the last predicted PC
 }
 
 type tageEntry struct {
-	ctr int8 // signed 3-bit: >= 0 predicts taken
 	tag uint16
+	ctr int8  // signed 3-bit: >= 0 predicts taken
 	u   uint8 // 2-bit useful counter
 }
 
@@ -64,23 +78,25 @@ type tageEntry struct {
 type folded struct {
 	comp    uint64
 	clen    uint // compressed length (output bits)
-	olen    int  // original history length
+	shift   uint // original history length % clen: where the outgoing bit lands
 	outMask uint64
 }
 
 func (f *folded) init(olen int, clen uint) {
 	f.comp = 0
 	f.clen = clen
-	f.olen = olen
+	f.shift = uint(olen) % clen
 	f.outMask = 1<<clen - 1
 }
 
 // update folds in the newest history bit (new) and folds out the oldest
-// (old).
+// (old). Both shift counts are below 64; masking them with 63 says so to
+// the compiler, which then emits bare shifts without the Go semantics
+// check for counts of 64 and more.
 func (f *folded) update(newBit, oldBit uint64) {
 	f.comp = (f.comp << 1) | newBit
-	f.comp ^= oldBit << (uint(f.olen) % f.clen)
-	f.comp ^= f.comp >> f.clen
+	f.comp ^= oldBit << (f.shift & 63)
+	f.comp ^= f.comp >> (f.clen & 63)
 	f.comp &= f.outMask
 }
 
@@ -121,12 +137,11 @@ func NewLTAGE(cfg LTAGEConfig) *LTAGE {
 	l := &LTAGE{
 		name:       fmt.Sprintf("l-tage-%dx2^%d", cfg.NumTables, cfg.LogTagged),
 		base:       make([]counter, 1<<cfg.LogBase),
+		baseMask:   1<<cfg.LogBase - 1,
 		comps:      make([]tageComp, cfg.NumTables),
 		lfsr:       0x1234567890abcdef,
 		resetEvery: 256 * 1024,
 		loop:       newLoopPredictor(6),
-		lastIdx:    make([]int, cfg.NumTables),
-		lastTag:    make([]uint16, cfg.NumTables),
 	}
 	// Geometric history lengths between MinHist and MaxHist.
 	ratio := math.Pow(float64(cfg.MaxHist)/float64(cfg.MinHist), 1/float64(cfg.NumTables-1))
@@ -149,12 +164,21 @@ func NewLTAGE(cfg LTAGEConfig) *LTAGE {
 			c.tagBits = 13
 		}
 		c.entries = make([]tageEntry, 1<<c.logg)
+		c.idxMask = 1<<c.logg - 1
+		c.tagMask = 1<<c.tagBits - 1
 		c.foldIdx.init(c.histLen, c.logg)
 		c.foldTag1.init(c.histLen, c.tagBits)
 		c.foldTag2.init(c.histLen, c.tagBits-1)
 	}
 	l.histLen = l.comps[len(l.comps)-1].histLen
-	l.ghist = make([]uint64, (l.histLen+63)/64+1)
+	// The ring holds ages 0..histLen: a push reads the bit at age histLen
+	// after moving ghead, before the next push overwrites it.
+	ringBits := 64
+	for ringBits < l.histLen+1 {
+		ringBits *= 2
+	}
+	l.ghist = make([]uint64, ringBits/64)
+	l.gmask = uint(ringBits - 1)
 	return l
 }
 
@@ -163,59 +187,44 @@ func NewLTAGE(cfg LTAGEConfig) *LTAGE {
 func NewLTAGEDefault() *LTAGE { return NewLTAGE(LTAGEConfig{}) }
 
 func (l *LTAGE) histBit(age int) uint64 {
-	return l.ghist[age>>6] >> (uint(age) & 63) & 1
-}
-
-func (l *LTAGE) compIndex(ci int, pc uint64) int {
-	c := &l.comps[ci]
-	h := hashPC(pc)
-	idx := h ^ h>>(c.logg) ^ c.foldIdx.comp
-	return int(idx & (1<<c.logg - 1))
-}
-
-func (l *LTAGE) compTag(ci int, pc uint64) uint16 {
-	c := &l.comps[ci]
-	h := hashPC(pc)
-	t := h ^ c.foldTag1.comp ^ c.foldTag2.comp<<1
-	return uint16(t & (1<<c.tagBits - 1))
-}
-
-func (l *LTAGE) baseIndex(pc uint64) int {
-	return int(hashPC(pc) & uint64(len(l.base)-1))
+	pos := (l.ghead + uint(age)) & l.gmask
+	return l.ghist[pos>>6] >> (pos & 63) & 1
 }
 
 // Predict implements Predictor.
 func (l *LTAGE) Predict(pc uint64) bool {
-	l.predictedPC = pc
-	l.lastProvider, l.lastAlt = -1, -1
+	h := hashPC(pc)
+	l.predictedPC, l.lastHash = pc, h
 
-	for i := range l.comps {
-		l.lastIdx[i] = l.compIndex(i, pc)
-		l.lastTag[i] = l.compTag(i, pc)
-	}
-	// Longest-history match is the provider; next match is the alternate.
+	// Index and tag every component, longest history first: the longest
+	// match is the provider, the next match is the alternate.
+	provider, alt := -1, -1
 	for i := len(l.comps) - 1; i >= 0; i-- {
-		e := &l.comps[i].entries[l.lastIdx[i]]
-		if e.tag == l.lastTag[i] {
-			if l.lastProvider == -1 {
-				l.lastProvider = i
+		c := &l.comps[i]
+		c.idx = int((h ^ h>>(c.logg&63) ^ c.foldIdx.comp) & c.idxMask)
+		c.tag = uint16((h ^ c.foldTag1.comp ^ c.foldTag2.comp<<1) & c.tagMask)
+		if alt < 0 && c.entries[c.idx].tag == c.tag {
+			if provider < 0 {
+				provider = i
 			} else {
-				l.lastAlt = i
-				break
+				alt = i
 			}
 		}
 	}
+	l.lastProvider, l.lastAlt = provider, alt
 
-	basePred := l.base[l.baseIndex(pc)].taken()
+	basePred := l.base[h&l.baseMask].taken()
 	l.lastAltPred = basePred
 	if l.lastAlt >= 0 {
-		l.lastAltPred = l.comps[l.lastAlt].entries[l.lastIdx[l.lastAlt]].ctr >= 0
+		c := &l.comps[l.lastAlt]
+		l.lastAltPred = c.entries[c.idx].ctr >= 0
 	}
 
 	pred := basePred
 	l.lastWeak = false
 	if l.lastProvider >= 0 {
-		e := &l.comps[l.lastProvider].entries[l.lastIdx[l.lastProvider]]
+		c := &l.comps[l.lastProvider]
+		e := &c.entries[c.idx]
 		l.lastProvPred = e.ctr >= 0
 		// A "newly allocated" weak entry (|ctr| minimal, u==0) may be less
 		// reliable than the alternate prediction.
@@ -228,7 +237,7 @@ func (l *LTAGE) Predict(pc uint64) bool {
 	}
 
 	// Loop predictor overrides when confident.
-	l.lastLoopHit, l.lastLoopPred = l.loop.predict(pc)
+	l.lastLoopHit, l.lastLoopPred = l.loop.predict(h)
 	if l.lastLoopHit {
 		pred = l.lastLoopPred
 	}
@@ -247,9 +256,9 @@ func (l *LTAGE) Update(pc uint64, taken bool) {
 	// without this, a corrupted entry (e.g. two aliasing loop branches)
 	// would override the tagged tables forever.
 	if l.lastLoopHit && l.lastLoopPred != taken {
-		l.loop.invalidate(pc)
+		l.loop.invalidate(l.lastHash)
 	}
-	l.loop.update(pc, taken, tagePred == taken)
+	l.loop.update(l.lastHash, taken, tagePred == taken)
 
 	// Train useAltOnNA on weak-provider cases.
 	if l.lastProvider >= 0 && l.lastWeak && l.lastProvPred != l.lastAltPred {
@@ -265,7 +274,7 @@ func (l *LTAGE) Update(pc uint64, taken bool) {
 	// Update the provider (and sometimes the alternate/base).
 	if l.lastProvider >= 0 {
 		c := &l.comps[l.lastProvider]
-		e := &c.entries[l.lastIdx[l.lastProvider]]
+		e := &c.entries[c.idx]
 		e.ctr = satSigned(e.ctr, taken, -4, 3)
 		// Useful counter: provider was right and alternate was wrong.
 		if l.lastProvPred != l.lastAltPred {
@@ -279,12 +288,12 @@ func (l *LTAGE) Update(pc uint64, taken bool) {
 		}
 		// When the provider entry is still weak, also train the base.
 		if e.u == 0 {
-			bi := l.baseIndex(pc)
-			l.base[bi] = l.base[bi].update(taken)
+			b := &l.base[l.lastHash&l.baseMask]
+			*b = b.update(taken)
 		}
 	} else {
-		bi := l.baseIndex(pc)
-		l.base[bi] = l.base[bi].update(taken)
+		b := &l.base[l.lastHash&l.baseMask]
+		*b = b.update(taken)
 	}
 
 	// Graceful periodic reset of useful counters.
@@ -314,34 +323,41 @@ func (l *LTAGE) tagePrediction() bool {
 }
 
 func (l *LTAGE) allocate(taken bool) {
-	// Find candidate components above the provider with a free (u==0)
-	// entry; pick one with LFSR randomness biased toward shorter
-	// histories. If none are free, age all candidates.
+	// Find the first two components above the provider with a free
+	// (u==0) entry; pick the first, or with LFSR randomness the second,
+	// biasing toward shorter histories. If none is free, age all
+	// candidates.
 	start := l.lastProvider + 1
-	var candidates []int
+	first, second := -1, -1
 	for i := start; i < len(l.comps); i++ {
-		if l.comps[i].entries[l.lastIdx[i]].u == 0 {
-			candidates = append(candidates, i)
+		c := &l.comps[i]
+		if c.entries[c.idx].u == 0 {
+			if first >= 0 {
+				second = i
+				break
+			}
+			first = i
 		}
 	}
-	if len(candidates) == 0 {
+	if first < 0 {
 		for i := start; i < len(l.comps); i++ {
-			e := &l.comps[i].entries[l.lastIdx[i]]
-			if e.u > 0 {
+			c := &l.comps[i]
+			if e := &c.entries[c.idx]; e.u > 0 {
 				e.u--
 			}
 		}
 		return
 	}
-	pick := candidates[0]
-	if len(candidates) > 1 {
+	pick := first
+	if second >= 0 {
 		l.lfsr = l.lfsr>>1 ^ (-(l.lfsr & 1) & 0xd800000000000000)
 		if l.lfsr&3 == 0 { // 1/4 chance to skip to a longer history
-			pick = candidates[1]
+			pick = second
 		}
 	}
-	e := &l.comps[pick].entries[l.lastIdx[pick]]
-	e.tag = l.lastTag[pick]
+	c := &l.comps[pick]
+	e := &c.entries[c.idx]
+	e.tag = c.tag
 	e.u = 0
 	if taken {
 		e.ctr = 0
@@ -351,35 +367,19 @@ func (l *LTAGE) allocate(taken bool) {
 }
 
 func (l *LTAGE) pushHistory(taken bool) {
-	oldest := l.histBit(l.histLen - 1)
-	// Shift the multiword history left by one.
-	carry := boolBit(taken)
-	for i := 0; i < len(l.ghist); i++ {
-		next := l.ghist[i] >> 63
-		l.ghist[i] = l.ghist[i]<<1 | carry
-		carry = next
-	}
 	newBit := boolBit(taken)
+	l.ghead = (l.ghead - 1) & l.gmask
+	w := &l.ghist[l.ghead>>6]
+	*w = *w&^(1<<(l.ghead&63)) | newBit<<(l.ghead&63)
 	for i := range l.comps {
 		c := &l.comps[i]
-		oldBit := uint64(0)
-		if c.histLen-1 < l.histLen {
-			// The bit that just fell out of this component's window: it
-			// was at age histLen-1 before the shift.
-			oldBit = l.histBitBeforeShift(c.histLen - 1)
-		}
+		// The bit that just fell out of this component's window was at
+		// age histLen-1 before the push, so it is at age histLen now.
+		oldBit := l.histBit(c.histLen)
 		c.foldIdx.update(newBit, oldBit)
 		c.foldTag1.update(newBit, oldBit)
 		c.foldTag2.update(newBit, oldBit)
 	}
-	_ = oldest
-}
-
-// histBitBeforeShift returns the bit that had the given age before the
-// most recent pushHistory shift; since the shift already happened, age n
-// before the shift is age n+1 now.
-func (l *LTAGE) histBitBeforeShift(age int) uint64 {
-	return l.histBit(age + 1)
 }
 
 // Name implements Predictor.
@@ -414,6 +414,7 @@ func (l *LTAGE) Reset() {
 	for i := range l.ghist {
 		l.ghist[i] = 0
 	}
+	l.ghead = 0
 	l.useAltOnNA = 0
 	l.ticks = 0
 	l.lfsr = 0x1234567890abcdef
@@ -456,23 +457,23 @@ func newLoopPredictor(logEntries uint) *loopPredictor {
 	return &loopPredictor{entries: make([]loopEntry, n), mask: uint64(n - 1)}
 }
 
-func (lp *loopPredictor) slot(pc uint64) (*loopEntry, uint16) {
-	h := hashPC(pc)
+// slot takes the hashed branch address, hashPC(pc).
+func (lp *loopPredictor) slot(h uint64) (*loopEntry, uint16) {
 	tag := uint16((h>>6 ^ h>>13 ^ h>>21) & 0x3fff)
 	return &lp.entries[h&lp.mask], tag
 }
 
-// invalidate frees the entry for pc if it currently matches.
-func (lp *loopPredictor) invalidate(pc uint64) {
-	e, tag := lp.slot(pc)
+// invalidate frees the entry for the hashed PC h if it currently matches.
+func (lp *loopPredictor) invalidate(h uint64) {
+	e, tag := lp.slot(h)
 	if e.valid && e.tag == tag {
 		*e = loopEntry{}
 	}
 }
 
-// predict returns (confident, prediction).
-func (lp *loopPredictor) predict(pc uint64) (bool, bool) {
-	e, tag := lp.slot(pc)
+// predict returns (confident, prediction) for the hashed PC h.
+func (lp *loopPredictor) predict(h uint64) (bool, bool) {
+	e, tag := lp.slot(h)
 	if !e.valid || e.tag != tag || e.conf < loopConfThreshold {
 		return false, false
 	}
@@ -480,8 +481,8 @@ func (lp *loopPredictor) predict(pc uint64) (bool, bool) {
 	return true, e.currTrip+1 < e.pastTrip
 }
 
-func (lp *loopPredictor) update(pc uint64, taken, tageWasCorrect bool) {
-	e, tag := lp.slot(pc)
+func (lp *loopPredictor) update(h uint64, taken, tageWasCorrect bool) {
+	e, tag := lp.slot(h)
 	if !e.valid || e.tag != tag {
 		// Allocate only on a TAGE mispredict of a not-taken outcome (a
 		// potential loop exit), as in L-TAGE.

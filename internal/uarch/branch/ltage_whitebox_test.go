@@ -6,12 +6,12 @@ import (
 	"interferometry/internal/xrand"
 )
 
-// TestLTAGEHistoryBookkeeping validates the multiword global history and
-// the circularly-folded registers against a naive reference that keeps
-// the outcome list explicitly. The folded-register update consumes the
-// bit falling out of each component's window; extracting it from the
-// shifted multiword history is exactly the kind of bookkeeping that
-// silently corrupts a TAGE implementation.
+// TestLTAGEHistoryBookkeeping validates the ring-buffer global history
+// and the circularly-folded registers against a naive reference that
+// keeps the outcome list explicitly. The folded-register update consumes
+// the bit falling out of each component's window; extracting it from the
+// ring is exactly the kind of bookkeeping that silently corrupts a TAGE
+// implementation.
 func TestLTAGEHistoryBookkeeping(t *testing.T) {
 	l := NewLTAGE(LTAGEConfig{NumTables: 6, LogTagged: 7, LogBase: 10, MaxHist: 130})
 	rng := xrand.New(99)
@@ -27,6 +27,13 @@ func TestLTAGEHistoryBookkeeping(t *testing.T) {
 		shadows[i][0].f.init(c.histLen, c.logg)
 		shadows[i][1].f.init(c.histLen, c.tagBits)
 		shadows[i][2].f.init(c.histLen, c.tagBits-1)
+		// The outgoing bit's fold position is precomputed, not divided
+		// out per update.
+		for k, f := range []*folded{&c.foldIdx, &c.foldTag1, &c.foldTag2} {
+			if want := uint(c.histLen) % f.clen; f.shift != want {
+				t.Fatalf("comp %d fold %d: shift %d, want olen %% clen = %d", i, k, f.shift, want)
+			}
+		}
 	}
 
 	for step := 0; step < 5000; step++ {
@@ -77,6 +84,10 @@ func TestLTAGEHistoryBookkeeping(t *testing.T) {
 			if c.foldTag1.comp != shadows[i][1].f.comp {
 				t.Fatalf("step %d comp %d: foldTag1 %x, shadow %x",
 					step, i, c.foldTag1.comp, shadows[i][1].f.comp)
+			}
+			if c.foldTag2.comp != shadows[i][2].f.comp {
+				t.Fatalf("step %d comp %d: foldTag2 %x, shadow %x",
+					step, i, c.foldTag2.comp, shadows[i][2].f.comp)
 			}
 		}
 	}
