@@ -737,9 +737,11 @@ func screenOutliers(cfg *CampaignConfig, co *campaignObs, ds *Dataset, measurers
 		screenSpan = co.o.StartSpan("outlier-screen", obs.SpanID(co.campID, tagOutlier), co.campID, 0)
 	}
 	var mu sync.Mutex
+	settled := 0
 	// settle applies one re-measurement of layout i; pool workers call
 	// it holding mu.
 	settle := func(i int, o Observation, err error) {
+		settled++
 		prev := ds.Obs[i]
 		if err == nil && measurementValid(o.Measurement) {
 			if o.Measurement != prev.Measurement {
@@ -802,7 +804,10 @@ func screenOutliers(cfg *CampaignConfig, co *campaignObs, ds *Dataset, measurers
 	}
 	sort.Slice(ds.Failures, func(a, b int) bool { return ds.Failures[a].Index < ds.Failures[b].Index })
 	screenSpan.End()
-	return err
+	if settled < len(flagged) {
+		return err
+	}
+	return nil
 }
 
 // Extend runs additional layouts (the §6.3 escalation: "we sample a

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"interferometry/internal/machine"
@@ -29,7 +32,8 @@ func TestMeasurementValid(t *testing.T) {
 
 // screenFixture runs a clean campaign and hands back everything
 // screenOutliers needs to be re-driven against a tampered copy. The
-// returned config enables the screen at a production-like threshold.
+// returned config enables the screen at a vanishing threshold, so every
+// valid layout off the median is flagged and re-measured too.
 func screenFixture(t *testing.T, layouts int) (CampaignConfig, *Dataset) {
 	t.Helper()
 	cfg := CampaignConfig{
@@ -48,7 +52,7 @@ func screenFixture(t *testing.T, layouts int) (CampaignConfig, *Dataset) {
 			t.Fatalf("clean campaign produced invalid measurement at layout %d", i)
 		}
 	}
-	cfg.OutlierMAD = 10
+	cfg.OutlierMAD = 1e-9
 	return cfg, ds
 }
 
@@ -199,5 +203,88 @@ func TestScreenDisabledWithoutMAD(t *testing.T) {
 		if ds.Obs[i] != before[i] {
 			t.Fatalf("disabled screen changed layout %d", i)
 		}
+	}
+}
+
+// countingSeam forwards to a measurer and counts its reads.
+type countingSeam struct {
+	inner measureSeam
+	calls *atomic.Int64
+}
+
+func (c countingSeam) Measure(spec machine.RunSpec) (pmc.Measurement, error) {
+	c.calls.Add(1)
+	return c.inner.Measure(spec)
+}
+
+// TestScreenPoolFollowsMeasurers: the re-measurement pool is sized by
+// the measurers it is handed, not by cfg.Workers. A single measurer
+// under a four-worker config must still re-measure every flagged
+// layout; a pool sized from cfg.Workers would index measurers[1..3]
+// and lose those layouts to recovered panics.
+func TestScreenPoolFollowsMeasurers(t *testing.T) {
+	remeasured := func(workers int) int64 {
+		cfg, ds := screenFixture(t, 8)
+		cfg.Workers = workers
+		build, _, measurers, _ := newSeams(&cfg, 1)
+		var calls atomic.Int64
+		seam := countingSeam{inner: measurers[0], calls: &calls}
+		if err := screenOutliers(&cfg, nil, ds, []measureSeam{seam}, build, ds.Trace, nil); err != nil {
+			t.Fatal(err)
+		}
+		if len(ds.Failures) != 0 {
+			t.Fatalf("workers=%d: screen recorded failures %v", workers, ds.Failures)
+		}
+		return calls.Load()
+	}
+	one := remeasured(1)
+	if one < 2 {
+		t.Fatalf("fixture flagged %d layouts, want several", one)
+	}
+	if four := remeasured(4); four != one {
+		t.Fatalf("one measurer under Workers=4 re-measured %d layouts, Workers=1 re-measured %d", four, one)
+	}
+}
+
+// cancelSeam forwards to a measurer after canceling the campaign's
+// context, so the pool sees the cancellation once this read is done.
+type cancelSeam struct {
+	inner  measureSeam
+	cancel context.CancelFunc
+}
+
+func (c cancelSeam) Measure(spec machine.RunSpec) (pmc.Measurement, error) {
+	c.cancel()
+	return c.inner.Measure(spec)
+}
+
+// TestScreenCancellation: a context canceled while flagged layouts are
+// still waiting aborts the screen with the cancellation; one canceled
+// after the last flagged layout settled does not.
+func TestScreenCancellation(t *testing.T) {
+	run := func(mad float64) (*Dataset, error) {
+		cfg, ds := screenFixture(t, 8)
+		cfg.OutlierMAD = mad
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cfg.Context = ctx
+		ds.Obs[6].Measurement = pmc.Measurement{Cycles: 999}
+		build, _, measurers, _ := newSeams(&cfg, 1)
+		seam := cancelSeam{inner: measurers[0], cancel: cancel}
+		return ds, screenOutliers(&cfg, nil, ds, []measureSeam{seam}, build, ds.Trace, nil)
+	}
+	// A huge threshold flags only the corrupt layout, so the one read
+	// that cancels is also the last one.
+	ds, err := run(1e9)
+	if err != nil {
+		t.Fatalf("screen whose flagged layouts all settled returned %v", err)
+	}
+	if ds.Obs[6].Status != StatusRetried {
+		t.Fatalf("corrupt layout has status %v, want StatusRetried", ds.Obs[6].Status)
+	}
+	// A vanishing threshold flags several layouts; the first read
+	// cancels and leaves the rest unsettled.
+	if _, err := run(1e-9); !errors.Is(err, context.Canceled) {
+		t.Fatalf("screen canceled with layouts unsettled returned %v, want context.Canceled", err)
 	}
 }

@@ -17,13 +17,8 @@ type LTAGE struct {
 	baseMask uint64
 
 	comps []tageComp
-	// ghist is the global history as a ring of bits: the outcome of age
-	// a is ring bit (ghead+a)&gmask. A push steps ghead back one bit and
-	// overwrites the bit there, the one too old for any component,
-	// instead of shifting every word.
+	// ghist is the global history, youngest outcome in bit 0 of word 0.
 	ghist   []uint64
-	ghead   uint
-	gmask   uint // ring size in bits - 1; the size is a power of two
 	histLen int
 
 	useAltOnNA int8 // 4-bit signed counter: prefer altpred for weak entries
@@ -171,14 +166,8 @@ func NewLTAGE(cfg LTAGEConfig) *LTAGE {
 		c.foldTag2.init(c.histLen, c.tagBits-1)
 	}
 	l.histLen = l.comps[len(l.comps)-1].histLen
-	// The ring holds ages 0..histLen: a push reads the bit at age histLen
-	// after moving ghead, before the next push overwrites it.
-	ringBits := 64
-	for ringBits < l.histLen+1 {
-		ringBits *= 2
-	}
-	l.ghist = make([]uint64, ringBits/64)
-	l.gmask = uint(ringBits - 1)
+	// One word beyond histLen bits: a push reads the bit at age histLen.
+	l.ghist = make([]uint64, (l.histLen+63)/64+1)
 	return l
 }
 
@@ -187,8 +176,7 @@ func NewLTAGE(cfg LTAGEConfig) *LTAGE {
 func NewLTAGEDefault() *LTAGE { return NewLTAGE(LTAGEConfig{}) }
 
 func (l *LTAGE) histBit(age int) uint64 {
-	pos := (l.ghead + uint(age)) & l.gmask
-	return l.ghist[pos>>6] >> (pos & 63) & 1
+	return l.ghist[age>>6] >> (uint(age) & 63) & 1
 }
 
 // Predict implements Predictor.
@@ -368,9 +356,13 @@ func (l *LTAGE) allocate(taken bool) {
 
 func (l *LTAGE) pushHistory(taken bool) {
 	newBit := boolBit(taken)
-	l.ghead = (l.ghead - 1) & l.gmask
-	w := &l.ghist[l.ghead>>6]
-	*w = *w&^(1<<(l.ghead&63)) | newBit<<(l.ghead&63)
+	// Shift the multiword history left by one.
+	carry := newBit
+	for i := range l.ghist {
+		next := l.ghist[i] >> 63
+		l.ghist[i] = l.ghist[i]<<1 | carry
+		carry = next
+	}
 	for i := range l.comps {
 		c := &l.comps[i]
 		// The bit that just fell out of this component's window was at
@@ -414,7 +406,6 @@ func (l *LTAGE) Reset() {
 	for i := range l.ghist {
 		l.ghist[i] = 0
 	}
-	l.ghead = 0
 	l.useAltOnNA = 0
 	l.ticks = 0
 	l.lfsr = 0x1234567890abcdef

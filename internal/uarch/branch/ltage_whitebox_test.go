@@ -6,12 +6,12 @@ import (
 	"interferometry/internal/xrand"
 )
 
-// TestLTAGEHistoryBookkeeping validates the ring-buffer global history
-// and the circularly-folded registers against a naive reference that
-// keeps the outcome list explicitly. The folded-register update consumes
-// the bit falling out of each component's window; extracting it from the
-// ring is exactly the kind of bookkeeping that silently corrupts a TAGE
-// implementation.
+// TestLTAGEHistoryBookkeeping validates the multiword global history and
+// the circularly-folded registers against a naive reference that keeps
+// the outcome list explicitly. The folded-register update consumes the
+// bit falling out of each component's window; extracting it from the
+// shifted multiword history is exactly the kind of bookkeeping that
+// silently corrupts a TAGE implementation.
 func TestLTAGEHistoryBookkeeping(t *testing.T) {
 	l := NewLTAGE(LTAGEConfig{NumTables: 6, LogTagged: 7, LogBase: 10, MaxHist: 130})
 	rng := xrand.New(99)
