@@ -68,8 +68,6 @@ func main() {
 	}{
 		{"campaign/sequential", func(b *testing.B) { benchCampaign(b, 1) }},
 		{"campaign/batched", func(b *testing.B) { benchCampaign(b, 0) }},
-		{"campaign/delta", func(b *testing.B) { benchCampaignDelta(b, core.DeltaAuto) }},
-		{"campaign/delta-off", func(b *testing.B) { benchCampaignDelta(b, core.DeltaOff) }},
 		{"machine/batch-run/k=32", benchBatchRun},
 		{"search/8x4", benchSearch},
 	} {
@@ -121,41 +119,6 @@ func benchCampaign(b *testing.B, batch int) {
 		Fidelity:  pmc.FidelityPaper,
 		BaseSeed:  42,
 		BatchSize: batch,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ds, err := core.RunCampaign(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(ds.Obs) != cfg.Layouts {
-			b.Fatalf("campaign returned %d observations", len(ds.Obs))
-		}
-	}
-	b.ReportMetric(float64(cfg.Layouts)*float64(b.N)/b.Elapsed().Seconds(), "layouts/s")
-}
-
-// benchCampaignDelta is the delta-replay regime workload of
-// internal/core's BenchmarkCampaignDelta: a 32-layout 470.lbm campaign
-// at a short budget, where the layout-sensitive cache events die out
-// early and re-simulating only perturbed state beats walking the full
-// trace per chunk. The delta-off companion runs the identical workload
-// through the batched engine, so the report pair isolates the engine's
-// contribution (DESIGN.md §15 has the regime analysis).
-func benchCampaignDelta(b *testing.B, mode core.DeltaMode) {
-	spec, ok := progen.ByName("470.lbm")
-	if !ok {
-		b.Fatal("missing spec")
-	}
-	cfg := core.CampaignConfig{
-		Program:   progen.MustGenerate(spec),
-		InputSeed: 1,
-		Budget:    5000,
-		Layouts:   32,
-		Fidelity:  pmc.FidelityPaper,
-		BaseSeed:  42,
-		Delta:     mode,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

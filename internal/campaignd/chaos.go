@@ -53,11 +53,6 @@ type SoakConfig struct {
 	// (Worker.Batch): grouped leases share one batched trace walk. The
 	// byte-identity check is unchanged — batching must not move a byte.
 	WorkerBatch int
-	// WorkerDelta selects each sharded worker's delta-replay mode
-	// (Worker.Delta). The byte-identity check is unchanged — delta replay
-	// must not move a byte either, and DeltaOn rounds prove the engine's
-	// fallback path under the same fault schedule.
-	WorkerDelta core.DeltaMode
 	// ByzantineWorkers, when positive, makes this many of the sharded
 	// workers liars (faultinject.Liar): every result they report is
 	// corrupted — bit-flipped counters, stale layout seeds, replayed old
@@ -307,7 +302,6 @@ func soakRound(cfg SoakConfig, round int, ref, refReport, refProvenance []byte, 
 					Coordinator: "http://" + ln.Addr().String(),
 					ID:          id,
 					Batch:       cfg.WorkerBatch,
-					Delta:       cfg.WorkerDelta,
 					Wait:        500 * time.Millisecond,
 					Tamper:      faultinject.NewLiar(cfg.Seed + uint64(round)*0x9e3779b9 + uint64(n)),
 				})
@@ -322,7 +316,6 @@ func soakRound(cfg SoakConfig, round int, ref, refReport, refProvenance []byte, 
 			w := &Worker{
 				Coordinator: "http://" + ln.Addr().String(),
 				Batch:       cfg.WorkerBatch,
-				Delta:       cfg.WorkerDelta,
 				Wait:        500 * time.Millisecond,
 				Faults:      injector,
 			}

@@ -47,32 +47,45 @@ func TestChaosSoak(t *testing.T) {
 // runs as a pure coordinator with 2 remote workers, each leasing up to 3
 // tasks per pull and sharing one batched trace walk per group, under the
 // same fault storm — and the export must still match the clean
-// single-process bytes.
+// single-process bytes. The rows vary the spec size, round count and
+// fault schedule seed.
 func TestChaosSoakShardedBatched(t *testing.T) {
-	var out bytes.Buffer
-	err := campaignd.Soak(campaignd.SoakConfig{
-		Spec:         testSpec(8),
-		Rounds:       2,
-		Seed:         0xba7c4,
-		ShardWorkers: 2,
-		WorkerBatch:  3,
-		Rates: faultinject.Rates{
-			Error: 0.2, Panic: 0.1,
-			MaxFaults: 2,
-		},
-		Timeout: time.Minute,
-		Out:     &out,
-	})
-	t.Logf("soak output:\n%s", out.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	report := out.String()
-	if !strings.Contains(report, "soak PASS") {
-		t.Error("soak report missing the PASS line")
-	}
-	if strings.Contains(report, "0 faults") {
-		t.Error("a soak round injected no faults")
+	for _, tc := range []struct {
+		name    string
+		layouts int
+		rounds  int
+		seed    uint64
+	}{
+		{"8x2", 8, 2, 0xba7c4},
+		{"6x1", 6, 1, 0xde17a},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			err := campaignd.Soak(campaignd.SoakConfig{
+				Spec:         testSpec(tc.layouts),
+				Rounds:       tc.rounds,
+				Seed:         tc.seed,
+				ShardWorkers: 2,
+				WorkerBatch:  3,
+				Rates: faultinject.Rates{
+					Error: 0.2, Panic: 0.1,
+					MaxFaults: 2,
+				},
+				Timeout: time.Minute,
+				Out:     &out,
+			})
+			t.Logf("soak output:\n%s", out.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			report := out.String()
+			if !strings.Contains(report, "soak PASS") {
+				t.Error("soak report missing the PASS line")
+			}
+			if strings.Contains(report, "0 faults") {
+				t.Error("a soak round injected no faults")
+			}
+		})
 	}
 }
 

@@ -48,10 +48,6 @@ type Worker struct {
 	// PrimeBatch) before measuring, which changes throughput but not a
 	// byte of any result. Zero or one leases singly.
 	Batch int
-	// Delta selects the delta-replay engine for the worker's campaigns
-	// (core.CampaignConfig.Delta): the zero value is auto. Like batching
-	// it changes throughput but never a byte of any result.
-	Delta core.DeltaMode
 	// Wait bounds each lease long poll. Zero means the coordinator's
 	// default.
 	Wait time.Duration
@@ -485,7 +481,6 @@ func (rc *workerRunners) get(id string, spec JobSpec, scale experiments.Scale) (
 	cfg.LayoutCache = rc.w.Cache
 	cfg.Faults = rc.w.Faults
 	cfg.Obs = rc.w.Obs
-	cfg.Delta = rc.w.Delta
 	r, err := core.NewLayoutRunner(cfg, rc.w.parallel())
 	if err != nil {
 		return nil, err

@@ -98,14 +98,9 @@ func (dc *detCache) Det(spec machine.RunSpec) (machine.Counters, float64, bool) 
 }
 
 // batchSlot is one worker's batched-replay state: the batch engine, the
-// optional delta engine tried before it, the det cache its harness
-// reads, and per-chunk scratch.
+// det cache its harness reads, and per-chunk scratch.
 type batchSlot struct {
 	batch *machine.Batch
-	// delta is the delta-replay engine, present only when the campaign's
-	// DeltaMode allows it and the machine config passes its geometry
-	// gates; nil otherwise. run tries it before the batched walk.
-	delta *machine.Delta
 	cache *detCache
 
 	idxs  []int // pending layout indices of the current chunk
@@ -114,28 +109,25 @@ type batchSlot struct {
 	specs []machine.RunSpec
 }
 
-// run measures the slot's pending specs, choosing the engine per the
-// campaign's DeltaMode: DeltaOn tries delta replay and falls back to the
-// batched walk on any decline; DeltaAuto additionally requires the
-// recording's profitability preflight to pass. Both engines are pinned
-// bit-identical to the scalar path, so the choice never changes results.
-func (s *batchSlot) run(cfg *CampaignConfig) ([]machine.Counters, []float64, error) {
-	if s.delta != nil && len(s.specs) > 0 {
-		use := cfg.Delta == DeltaOn
-		if cfg.Delta == DeltaAuto {
-			ok, err := s.delta.Preflight(s.specs[0])
-			use = err == nil && ok
+// walk runs the trace once for the slot's pending specs, guarded
+// against panics, and records every lane's deterministic replay in the
+// det cache. A failed walk adds no entries, so its layouts replay
+// sequentially, and counts as a batch-walk fallback.
+func (s *batchSlot) walk(co *campaignObs) error {
+	err := runGuarded(func(_, _ int) error {
+		cs, dets, err := s.batch.Run(s.specs)
+		if err != nil {
+			return err
 		}
-		if use {
-			if cs, dets, err := s.delta.Run(s.specs); err == nil {
-				return cs, dets, nil
-			}
-			// A decline (unsupported layout shape, spec mix, or a
-			// defensive divergence check) costs only the preflight;
-			// the batched walk below measures the same specs.
+		for j := range s.specs {
+			s.cache.put(s.specs[j], cs[j], dets[j])
 		}
+		return nil
+	}, 0, 0)
+	if err != nil && co != nil {
+		co.batchFallbacks.Inc()
 	}
-	return s.batch.Run(s.specs)
+	return err
 }
 
 // batchPool recycles batch engines across campaigns: a Batch's SoA state
@@ -160,37 +152,12 @@ func getBatch(mcfg machine.Config, lanes int) (*machine.Batch, error) {
 	return machine.NewBatch(mcfg, lanes)
 }
 
-// deltaPool recycles delta engines the same way batchPool recycles batch
-// engines: the per-lane replay state is sized by the machine config, and
-// Invalidate drops everything program-keyed, so a recycled engine is
-// indistinguishable from a fresh one.
-var deltaPool = sync.Pool{}
-
-// getDelta returns a pooled or fresh delta engine for the config, or nil
-// when the configuration fails the delta geometry gates (the campaign
-// then simply never tries delta replay — never an error).
-func getDelta(mcfg machine.Config, lanes int) *machine.Delta {
-	if v := deltaPool.Get(); v != nil {
-		d := v.(*machine.Delta)
-		if d.Config() == mcfg && d.MaxLanes() >= lanes {
-			return d
-		}
-	}
-	d, err := machine.NewDelta(mcfg, lanes)
-	if err != nil {
-		return nil
-	}
-	return d
-}
-
 // newBatchSlots builds one batchSlot per worker and wires each harness's
 // Det source. It returns nil when the machine configuration cannot be
 // batched (a cache or BTB geometry over 8 ways); the caller falls back
-// to the sequential path. Unless the campaign disabled delta replay,
-// each slot also carries a delta engine for run to try first. The slots'
-// engines must be released back to their pools with releaseBatchSlots
-// when the campaign finishes.
-func newBatchSlots(mcfg machine.Config, harnesses []*pmc.Harness, lanes int, dm DeltaMode) []*batchSlot {
+// to the sequential path. The slots' engines must be released back to
+// the pool with releaseBatchSlots when the campaign finishes.
+func newBatchSlots(mcfg machine.Config, harnesses []*pmc.Harness, lanes int) []*batchSlot {
 	slots := make([]*batchSlot, len(harnesses))
 	for w := range slots {
 		b, err := getBatch(mcfg, lanes)
@@ -198,32 +165,22 @@ func newBatchSlots(mcfg machine.Config, harnesses []*pmc.Harness, lanes int, dm 
 			return nil
 		}
 		slots[w] = &batchSlot{batch: b, cache: &detCache{}}
-		if dm != DeltaOff {
-			slots[w].delta = getDelta(mcfg, lanes)
-		}
 		harnesses[w].Det = slots[w].cache
 	}
 	return slots
 }
 
-// releaseBatchSlots returns every slot's engines to their pools.
-// Invalidate drops the engines' program-keyed tables so a pooled engine
-// does not pin the campaign's program in memory.
+// releaseBatchSlots returns every slot's engine to the pool. Invalidate
+// drops the engine's program-keyed tables so a pooled engine does not
+// pin the campaign's program in memory.
 func releaseBatchSlots(slots []*batchSlot) {
 	for _, s := range slots {
-		if s == nil {
+		if s == nil || s.batch == nil {
 			continue
 		}
-		if s.batch != nil {
-			s.batch.Invalidate()
-			batchPool.Put(s.batch)
-			s.batch = nil
-		}
-		if s.delta != nil {
-			s.delta.Invalidate()
-			deltaPool.Put(s.delta)
-			s.delta = nil
-		}
+		s.batch.Invalidate()
+		batchPool.Put(s.batch)
+		s.batch = nil
 	}
 }
 
@@ -234,7 +191,8 @@ func releaseBatchSlots(slots []*batchSlot) {
 //	   measureLayout);
 //	B. one batched trace walk over every successfully built layout,
 //	   priming the worker's det cache — a batch failure just leaves the
-//	   cache empty and phase C simulates sequentially;
+//	   cache empty and phase C simulates sequentially, counted as a
+//	   batch-walk fallback;
 //	C. per layout, the sequential pipeline: measureBuilt through the
 //	   (possibly fault-wrapped) measure seam, then on any failure the
 //	   same retry tail measureLayout runs — full build+measure attempts
@@ -301,16 +259,7 @@ func measureChunk(cfg *CampaignConfig, co *campaignObs, slot *batchSlot, meas me
 		})
 	}
 	if len(slot.specs) > 0 {
-		runGuarded(func(_, _ int) error {
-			cs, dets, err := slot.run(cfg)
-			if err != nil {
-				return err
-			}
-			for j := range slot.specs {
-				slot.cache.put(slot.specs[j], cs[j], dets[j])
-			}
-			return nil
-		}, w, lo)
+		_ = slot.walk(co) // a failed walk is counted; phase C replays sequentially
 	}
 
 	// Phase C: the per-layout pipeline, sequential semantics verbatim.

@@ -8,8 +8,11 @@ import (
 	"interferometry/internal/core"
 	"interferometry/internal/faultinject"
 	"interferometry/internal/heap"
+	"interferometry/internal/obs"
 	"interferometry/internal/pmc"
+	"interferometry/internal/progen"
 	"interferometry/internal/results"
+	"interferometry/internal/toolchain"
 )
 
 // runPair runs the same campaign config twice — sequentially
@@ -82,29 +85,94 @@ func assertDatasetsIdentical(t *testing.T, seq, bat *core.Dataset) {
 
 // TestBatchedCampaignIdenticalToSequential pins the acceptance
 // criterion: a batched campaign's results are byte-identical to the
-// sequential campaign's, across heap modes, fidelities and batch widths
-// (including widths that do not divide the layout count).
+// sequential campaign's, across heap modes, fidelities, batch widths
+// (including widths that do not divide the layout count) and worker
+// counts. The perlbench row runs a real suite benchmark at the default
+// worker count, so its chunks carry a randomized heap over real
+// allocation traffic.
 func TestBatchedCampaignIdenticalToSequential(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		mode     heap.Mode
 		fidelity pmc.Fidelity
 		batch    int
+		workers  int
+		perl     bool // 400.perlbench at an 80k budget instead of the small test program
 	}{
-		{"bump/fast/b4", heap.ModeBump, pmc.FidelityFast, 4},
-		{"bump/paper/b2", heap.ModeBump, pmc.FidelityPaper, 2},
-		{"rand/fast/b7", heap.ModeRandomized, pmc.FidelityFast, 7},
-		{"rand/paper/b4", heap.ModeRandomized, pmc.FidelityPaper, 4},
-		{"bump/fast/auto", heap.ModeBump, pmc.FidelityFast, 0},
+		{"bump/fast/b4", heap.ModeBump, pmc.FidelityFast, 4, 2, false},
+		{"bump/paper/b2", heap.ModeBump, pmc.FidelityPaper, 2, 2, false},
+		{"rand/fast/b7", heap.ModeRandomized, pmc.FidelityFast, 7, 2, false},
+		{"rand/paper/b4", heap.ModeRandomized, pmc.FidelityPaper, 4, 2, false},
+		{"bump/fast/auto", heap.ModeBump, pmc.FidelityFast, 0, 2, false},
+		{"perlbench/rand/fast/auto", heap.ModeRandomized, pmc.FidelityFast, 0, 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallCampaign(13)
+			if tc.perl {
+				spec, ok := progen.ByName("400.perlbench")
+				if !ok {
+					t.Fatal("suite benchmark missing")
+				}
+				cfg.Program = progen.MustGenerate(spec)
+				cfg.Budget = 80_000
+				cfg.Layouts = 50
+				if testing.Short() {
+					cfg.Layouts = 8
+				}
+				cfg.BaseSeed = 0x1471a57
+			}
 			cfg.HeapMode = tc.mode
 			cfg.Fidelity = tc.fidelity
-			cfg.Workers = 2
+			cfg.Workers = tc.workers
 			seq, bat := runPair(t, cfg, tc.batch, nil)
 			assertDatasetsIdentical(t, seq, bat)
 		})
+	}
+}
+
+// TestBatchWalkFailureFallsBack forces the batched walk to fail: a data
+// segment linked beyond the batch engine's address limit replays fine
+// on the scalar path but is refused by machine.Batch. The chunk's
+// layouts must then replay sequentially, byte-identical to the
+// sequential run, and the one failed walk (one worker, one chunk) must
+// be counted. LayoutRunner.PrimeBatch, the walk campaignd workers run,
+// counts its failed walk the same way.
+func TestBatchWalkFailureFallsBack(t *testing.T) {
+	cfg := smallCampaign(4)
+	cfg.Workers = 1
+	cfg.Link.DataBase = 1 << 44
+	m := obs.NewMetrics()
+	seq, bat := runPair(t, cfg, 4, func(c *core.CampaignConfig) {
+		if c.BatchSize != 1 {
+			c.Obs = &obs.Observer{Metrics: m}
+		}
+	})
+	if len(seq.Failures) != 0 {
+		t.Fatalf("sequential reference failed %d layouts: %+v", len(seq.Failures), seq.Failures)
+	}
+	assertDatasetsIdentical(t, seq, bat)
+	fallbacks := m.Counter("interferometry_batch_walk_fallbacks_total", "")
+	if n := fallbacks.Value(); n != 1 {
+		t.Errorf("batch walk fallbacks = %d, want 1", n)
+	}
+
+	cfg.Obs = &obs.Observer{Metrics: m}
+	r, err := core.NewLayoutRunner(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idxs := []int{0, 1, 2, 3}
+	exes := make([]*toolchain.Executable, len(idxs))
+	for j, i := range idxs {
+		if exes[j], err = r.BuildLayout(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.PrimeBatch(0, idxs, exes); err == nil {
+		t.Fatal("PrimeBatch walked a data segment beyond the batch address limit")
+	}
+	if n := fallbacks.Value(); n != 2 {
+		t.Errorf("batch walk fallbacks after PrimeBatch = %d, want 2", n)
 	}
 }
 

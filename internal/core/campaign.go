@@ -85,18 +85,6 @@ type CampaignConfig struct {
 	// disables batching. FidelityPaperNaive always runs sequentially.
 	BatchSize int
 
-	// Delta selects the delta-replay engine (machine.Delta) for the
-	// batched phase: the trace is walked once per campaign into a
-	// classified recording, and each chunk's layouts replay only their
-	// perturbed state. Like batching it is pinned bit-identical to the
-	// sequential path, so the knob changes only throughput. DeltaAuto
-	// (the default) uses it when the recording's profitability estimate
-	// says the delta walk beats the batched one — which is rare: it pays
-	// off only on traces whose layout-sensitive events die out early.
-	// DeltaOn always tries it (falling back to the batched walk when the
-	// engine declines the trace or layout), DeltaOff never does.
-	Delta DeltaMode
-
 	// Compile and Link override toolchain defaults when non-zero.
 	Compile toolchain.CompileConfig
 	Link    toolchain.LinkConfig
@@ -162,47 +150,6 @@ type CampaignConfig struct {
 	// progress reporting (DESIGN.md §8). Nil disables all three; the
 	// campaign then pays only nil checks.
 	Obs *obs.Observer
-}
-
-// DeltaMode selects how the campaign uses the delta-replay engine.
-type DeltaMode uint8
-
-// Delta-replay modes.
-const (
-	// DeltaAuto uses delta replay when its profitability preflight says
-	// the recording beats the batched walk on this trace.
-	DeltaAuto DeltaMode = iota
-	// DeltaOff never uses delta replay.
-	DeltaOff
-	// DeltaOn always attempts delta replay first, falling back to the
-	// batched walk when the engine declines the trace or a layout.
-	DeltaOn
-)
-
-func (m DeltaMode) String() string {
-	switch m {
-	case DeltaAuto:
-		return "auto"
-	case DeltaOff:
-		return "off"
-	case DeltaOn:
-		return "on"
-	default:
-		return fmt.Sprintf("DeltaMode(%d)", uint8(m))
-	}
-}
-
-// ParseDeltaMode parses the CLI spelling of a DeltaMode.
-func ParseDeltaMode(s string) (DeltaMode, error) {
-	switch s {
-	case "auto", "":
-		return DeltaAuto, nil
-	case "off":
-		return DeltaOff, nil
-	case "on":
-		return DeltaOn, nil
-	}
-	return DeltaAuto, fmt.Errorf("core: unknown delta mode %q (want auto, on or off)", s)
 }
 
 func (c *CampaignConfig) machineConfig() machine.Config {
@@ -451,7 +398,7 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 	bs := cfg.batchSize(workers)
 	var slots []*batchSlot
 	if bs > 1 {
-		slots = newBatchSlots(cfg.machineConfig(), harnesses, bs, cfg.Delta)
+		slots = newBatchSlots(cfg.machineConfig(), harnesses, bs)
 		defer releaseBatchSlots(slots)
 	}
 

@@ -157,21 +157,10 @@ func (r *LayoutRunner) PrimeGenomes(w int, gs []toolchain.Genome, exes []*toolch
 	if r.cfg.Fidelity == pmc.FidelityPaperNaive || len(gs) < 2 || len(gs) > 64 {
 		return nil
 	}
-	slot := r.slots[w]
-	if slot == nil || slot.batch.MaxLanes() < len(gs) {
-		b, err := machine.NewBatch(r.cfg.machineConfig(), len(gs))
-		if err != nil {
-			return err
-		}
-		slot = &batchSlot{batch: b, cache: &detCache{}}
-		if r.cfg.Delta != DeltaOff {
-			slot.delta = getDelta(r.cfg.machineConfig(), len(gs))
-		}
-		r.slots[w] = slot
-		r.harnesses[w].Det = slot.cache
+	slot, err := r.batchSlot(w, len(gs))
+	if err != nil {
+		return err
 	}
-	slot.cache.reset()
-	slot.specs = slot.specs[:0]
 	for j := range gs {
 		hs := uint64(0)
 		if r.cfg.HeapMode == heap.ModeRandomized {
@@ -184,14 +173,7 @@ func (r *LayoutRunner) PrimeGenomes(w int, gs []toolchain.Genome, exes []*toolch
 			HeapSeed: hs,
 		})
 	}
-	cs, dets, err := slot.run(&r.cfg)
-	if err != nil {
-		return err
-	}
-	for j := range slot.specs {
-		slot.cache.put(slot.specs[j], cs[j], dets[j])
-	}
-	return nil
+	return slot.walk(r.co)
 }
 
 // FailedGenomeObservation is the observation recorded for a genome that

@@ -58,6 +58,7 @@ type campaignObs struct {
 	outliersFlagged  *obs.Counter
 	outliersRepaired *obs.Counter
 	screenFailures   *obs.Counter
+	batchFallbacks   *obs.Counter
 
 	compileSec *obs.Histogram
 	runSec     *obs.Histogram
@@ -83,6 +84,7 @@ func newCampaignObs(cfg *CampaignConfig) *campaignObs {
 		outliersFlagged:  o.Counter("interferometry_outliers_flagged_total", "observations flagged by the MAD screen"),
 		outliersRepaired: o.Counter("interferometry_outliers_repaired_total", "flagged observations replaced by re-measurement"),
 		screenFailures:   o.Counter("interferometry_outlier_remeasure_failures_total", "outlier-screen re-measurements that failed or panicked"),
+		batchFallbacks:   o.Counter("interferometry_batch_walk_fallbacks_total", "batched trace walks that failed or panicked, leaving their layouts to scalar replay"),
 		compileSec:       o.Histogram("interferometry_stage_compile_seconds", "reorder+link+check stage latency", obs.DurationBuckets),
 		runSec:           o.Histogram("interferometry_stage_run_seconds", "measurement stage latency", obs.DurationBuckets),
 		fitSec:           o.Histogram("interferometry_stage_fit_seconds", "plausibility-check+record stage latency", obs.DurationBuckets),

@@ -125,7 +125,8 @@ func (r *LayoutRunner) MeasureLayout(w, i int, exe *toolchain.Executable) (Obser
 // replay is pinned bit-identical to the sequential one, and a declined
 // prime (unbatchable machine geometry, too many lanes, or a batch
 // failure) costs nothing — MeasureLayout simply replays sequentially.
-// The returned error is diagnostic only; callers may ignore it.
+// A failed or panicking walk is counted as a batch-walk fallback; the
+// returned error is diagnostic only, and callers may ignore it.
 //
 // Like MeasureLayout, two concurrent calls must use distinct slots, and
 // the priming is consumed by the same slot's MeasureLayout.
@@ -144,21 +145,10 @@ func (r *LayoutRunner) PrimeBatch(w int, layouts []int, exes []*toolchain.Execut
 			return err
 		}
 	}
-	slot := r.slots[w]
-	if slot == nil || slot.batch.MaxLanes() < len(layouts) {
-		b, err := machine.NewBatch(r.cfg.machineConfig(), len(layouts))
-		if err != nil {
-			return err
-		}
-		slot = &batchSlot{batch: b, cache: &detCache{}}
-		if r.cfg.Delta != DeltaOff {
-			slot.delta = getDelta(r.cfg.machineConfig(), len(layouts))
-		}
-		r.slots[w] = slot
-		r.harnesses[w].Det = slot.cache
+	slot, err := r.batchSlot(w, len(layouts))
+	if err != nil {
+		return err
 	}
-	slot.cache.reset()
-	slot.specs = slot.specs[:0]
 	for j, i := range layouts {
 		hs := uint64(0)
 		if r.cfg.HeapMode == heap.ModeRandomized {
@@ -171,14 +161,27 @@ func (r *LayoutRunner) PrimeBatch(w int, layouts []int, exes []*toolchain.Execut
 			HeapSeed: hs,
 		})
 	}
-	cs, dets, err := slot.run(&r.cfg)
-	if err != nil {
-		return err
+	return slot.walk(r.co)
+}
+
+// batchSlot returns worker slot w's batched-replay state with room for
+// lanes layouts, its det cache and spec scratch emptied. A slot too
+// narrow for the group is replaced, and the new cache wired into the
+// slot's harness.
+func (r *LayoutRunner) batchSlot(w, lanes int) (*batchSlot, error) {
+	slot := r.slots[w]
+	if slot == nil || slot.batch.MaxLanes() < lanes {
+		b, err := machine.NewBatch(r.cfg.machineConfig(), lanes)
+		if err != nil {
+			return nil, err
+		}
+		slot = &batchSlot{batch: b, cache: &detCache{}}
+		r.slots[w] = slot
+		r.harnesses[w].Det = slot.cache
 	}
-	for j := range slot.specs {
-		slot.cache.put(slot.specs[j], cs[j], dets[j])
-	}
-	return nil
+	slot.cache.reset()
+	slot.specs = slot.specs[:0]
+	return slot, nil
 }
 
 func (r *LayoutRunner) checkIndex(i int) error {

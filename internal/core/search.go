@@ -358,9 +358,9 @@ func (s *Search) evaluateChunk(w, lo, hi int, genomes []toolchain.Genome, out []
 		}
 	}
 	if len(builtG) >= 2 {
-		runGuarded(func(_, _ int) error {
-			return r.PrimeGenomes(w, builtG, builtE)
-		}, w, lo)
+		// PrimeGenomes guards and counts its walk; any other error is a
+		// decline, and MeasureGenome below simply replays sequentially.
+		_ = r.PrimeGenomes(w, builtG, builtE)
 	}
 
 	// Phase C: the per-genome pipeline with the sequential retry tail.

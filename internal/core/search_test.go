@@ -82,6 +82,7 @@ func TestSearchTrajectoryDeterminism(t *testing.T) {
 		fidelity pmc.Fidelity
 	}{
 		{name: "1-worker-batched", workers: 1},
+		{name: "2-worker-batched", workers: 2},
 		{name: "4-worker-batched", workers: 4},
 		{name: "1-worker-sequential", workers: 1, batch: 1},
 		{name: "4-worker-sequential", workers: 4, batch: 1},

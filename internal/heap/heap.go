@@ -36,16 +36,6 @@ type Allocator interface {
 	Live(obj isa.ObjectID) bool
 }
 
-// PlacementAlign is the alignment every placement from either allocator
-// honors under the default MinSlot: Bump aligns each object to 16
-// bytes, and Randomized carves power-of-two slots of at least MinSlot
-// from slot-aligned regions (large-object page jitter moves bases in
-// whole 4096-byte pages). Consumers that derive canonical sub-object
-// geometry from placements — the machine's delta-replay recording keys
-// its heap units on 16-byte boundaries — rely on this invariant and
-// verify it per placement.
-const PlacementAlign = 16
-
 // Config sets the simulated address range for a heap.
 type Config struct {
 	// Base is the first heap address. Zero means 0x20000000, above the
@@ -71,10 +61,6 @@ type Randomized struct {
 	next    uint64 // bump pointer for carving new class regions
 	classes map[uint64]*sizeClass
 	objs    []placement
-	// pool holds retired regions from before a Reset; grow reuses their
-	// backing storage instead of allocating, so a reset allocator reaches
-	// steady state without fresh allocations.
-	pool []*region
 }
 
 // placement is indexed by ObjectID; known distinguishes an object that has
@@ -103,6 +89,11 @@ func ensurePlacement(objs *[]placement, obj isa.ObjectID) *placement {
 	return &(*objs)[obj]
 }
 
+// sizeClass is one slot size's miniheap. Reset truncates regions but
+// keeps the retired regions in its backing array: a class's n-th region
+// always has the same slot count, so grow reuses the n-th retired region
+// exactly and a reset allocator replaying the same allocations reaches
+// steady state without fresh allocations.
 type sizeClass struct {
 	slot    uint64
 	regions []*region
@@ -133,7 +124,6 @@ func (a *Randomized) Reset(seed uint64, cfg Config) {
 	a.rng.Reseed(xrand.Mix(seed, 0x68656170)) // "heap"
 	a.next = cfg.Base
 	for _, sc := range a.classes {
-		a.pool = append(a.pool, sc.regions...)
 		sc.regions = sc.regions[:0]
 		sc.free, sc.total = 0, 0
 	}
@@ -206,38 +196,29 @@ func (a *Randomized) Alloc(obj isa.ObjectID, size uint64) uint64 {
 	}
 }
 
-// grow adds a region to the class, doubling capacity each time. Retired
-// regions from a Reset are reused when large enough.
+// grow adds a region to the class, doubling capacity each time. The
+// class's retired region at the same position is reused when a Reset
+// left one behind.
 func (a *Randomized) grow(sc *sizeClass) {
 	slots := sc.total
 	if slots == 0 {
 		slots = 8
 	}
-	r := a.newRegion(slots)
+	var r *region
+	if n := len(sc.regions); n < cap(sc.regions) {
+		r = sc.regions[:n+1][n]
+	}
+	if r == nil || cap(r.used) < slots {
+		r = &region{used: make([]bool, slots)}
+	}
+	r.used = r.used[:slots]
+	clear(r.used)
+	r.slots, r.free = slots, slots
 	r.base = align(a.next, sc.slot)
 	a.next = r.base + uint64(slots)*sc.slot
 	sc.regions = append(sc.regions, r)
 	sc.free += slots
 	sc.total += slots
-}
-
-// newRegion returns a cleared region with the given slot count, reusing
-// pooled storage when possible.
-func (a *Randomized) newRegion(slots int) *region {
-	for i, r := range a.pool {
-		if cap(r.used) >= slots {
-			a.pool[i] = a.pool[len(a.pool)-1]
-			a.pool = a.pool[:len(a.pool)-1]
-			r.used = r.used[:slots]
-			for j := range r.used {
-				r.used[j] = false
-			}
-			r.slots = slots
-			r.free = slots
-			return r
-		}
-	}
-	return &region{slots: slots, used: make([]bool, slots), free: slots}
 }
 
 // Free implements Allocator.

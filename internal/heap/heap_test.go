@@ -104,6 +104,42 @@ func TestRandomizedReuse(t *testing.T) {
 	}
 }
 
+// TestRandomizedResetReusesRegionsExactly pins Reset's two promises: a
+// reset allocator places exactly like a fresh one, and replaying the
+// same allocations after a Reset allocates nothing, even when several
+// size classes of very different region sizes grew before the Reset.
+func TestRandomizedResetReusesRegionsExactly(t *testing.T) {
+	sizes := []uint64{16, 4096, 48, 9000, 200, 16, 70000, 32}
+	run := func(a *heap.Randomized, bases []uint64) {
+		for i := range bases {
+			obj := isa.ObjectID(i)
+			bases[i] = a.Alloc(obj, sizes[i%len(sizes)])
+			if i%3 == 2 {
+				a.Free(isa.ObjectID(i - 1))
+			}
+		}
+	}
+	want := make([]uint64, 300)
+	run(heap.NewRandomized(11, heap.Config{}), want)
+
+	a := heap.NewRandomized(5, heap.Config{})
+	got := make([]uint64, len(want))
+	run(a, got) // grow every class under another seed first
+	a.Reset(11, heap.Config{})
+	run(a, got)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("allocation %d: reset allocator placed %#x, fresh %#x", i, got[i], want[i])
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		a.Reset(11, heap.Config{})
+		run(a, got)
+	}); n != 0 {
+		t.Errorf("replay after Reset allocates %v per run, want 0", n)
+	}
+}
+
 func TestRandomizedBaseAndLive(t *testing.T) {
 	a := heap.NewRandomized(5, heap.Config{})
 	if _, ok := a.Base(9); ok {
