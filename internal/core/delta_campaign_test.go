@@ -7,32 +7,52 @@ import (
 	"interferometry/internal/core"
 	"interferometry/internal/faultinject"
 	"interferometry/internal/heap"
+	"interferometry/internal/obs"
 	"interferometry/internal/pmc"
 )
 
-// runDelta runs cfg with the given batch width and delta mode.
-func runDelta(t *testing.T, cfg core.CampaignConfig, batch int, mode core.DeltaMode, mutate func(*core.CampaignConfig)) *core.Dataset {
-	t.Helper()
-	dcfg := cfg
-	dcfg.BatchSize = batch
-	dcfg.Delta = mode
-	if mutate != nil {
-		mutate(&dcfg)
-	}
-	ds, err := core.RunCampaign(dcfg)
-	if err != nil {
-		t.Fatalf("delta(%s) campaign: %v", mode, err)
-	}
-	return ds
+// The Delta tests pin the campaign's second replay path per chunk. They
+// once forced the delta-replay engine (DESIGN.md §15); with that engine
+// gone, the only alternative to a chunk's batched walk is the fallback
+// it takes when the walk fails: every layout of the chunk replays on the
+// scalar machine. These tests force that fallback on every chunk, across
+// the matrix the batched tests cover, and require it to be invisible in
+// the bytes.
+
+// forcedFallbackBase is a data segment base beyond machine.Batch's
+// address limit: the scalar machine replays it, every batched walk
+// refuses it.
+const forcedFallbackBase = 1 << 44
+
+// fallbackCounter reads the batch-walk fallback counter from m.
+func fallbackCounter(m *obs.Metrics) uint64 {
+	return m.Counter("interferometry_batch_walk_fallbacks_total", "").Value()
 }
 
-// TestDeltaCampaignIdenticalToSequential is the delta half of the
-// determinism matrix: sequential ≡ batched ≡ delta-forced ≡ delta-auto,
-// across heap modes, fidelities and batch widths. DeltaOn forces the
-// delta engine onto every chunk (with its own per-spec declines falling
-// back to the batched walk); DeltaAuto additionally exercises the
-// profitability preflight, which on this dense trace routes everything
-// to batch — both must be invisible in the bytes.
+// runFallbackPair runs cfg sequentially and batched with every batched
+// walk forced to fail, checks that the batched run did fall back, and
+// returns both datasets. mutate, when set, is applied to both runs.
+func runFallbackPair(t *testing.T, cfg core.CampaignConfig, batch int, mutate func(*core.CampaignConfig)) (seq, fb *core.Dataset) {
+	t.Helper()
+	cfg.Link.DataBase = forcedFallbackBase
+	m := obs.NewMetrics()
+	seq, fb = runPair(t, cfg, batch, func(c *core.CampaignConfig) {
+		if mutate != nil {
+			mutate(c)
+		}
+		if c.BatchSize != 1 {
+			c.Obs = &obs.Observer{Metrics: m}
+		}
+	})
+	if fallbackCounter(m) == 0 {
+		t.Fatal("no batched walk fell back; the forced fallback did not engage")
+	}
+	return seq, fb
+}
+
+// TestDeltaCampaignIdenticalToSequential forces the batch-walk fallback
+// onto every chunk across heap modes, fidelities and batch widths
+// (including the auto width): sequential ≡ fallback replay.
 func TestDeltaCampaignIdenticalToSequential(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -51,22 +71,18 @@ func TestDeltaCampaignIdenticalToSequential(t *testing.T) {
 			cfg.HeapMode = tc.mode
 			cfg.Fidelity = tc.fidelity
 			cfg.Workers = 2
-			seq, bat := runPair(t, cfg, tc.batch, nil)
-			assertDatasetsIdentical(t, seq, bat)
-			forced := runDelta(t, cfg, tc.batch, core.DeltaOn, nil)
-			assertDatasetsIdentical(t, seq, forced)
-			auto := runDelta(t, cfg, tc.batch, core.DeltaAuto, nil)
-			assertDatasetsIdentical(t, seq, auto)
+			seq, fb := runFallbackPair(t, cfg, tc.batch, nil)
+			assertDatasetsIdentical(t, seq, fb)
 		})
 	}
 }
 
-// TestDeltaCampaignWithFaultsIdentical forces delta replay under the
+// TestDeltaCampaignWithFaultsIdentical forces the fallback under the
 // deterministic fault storm of TestBatchedCampaignWithFaultsIdentical:
 // injected build/measure errors, panics and corruptions, with retries,
-// a failure budget and the outlier screen engaged. The delta engine
-// must fail, fall back, retry and recover in exactly the same places as
-// the sequential supervisor.
+// a failure budget and the outlier screen engaged. Chunks that fall
+// back must fail, retry and recover in exactly the same places as the
+// sequential supervisor.
 func TestDeltaCampaignWithFaultsIdentical(t *testing.T) {
 	seeds := []uint64{3, 17, 29, 101}
 	if testing.Short() {
@@ -85,16 +101,15 @@ func TestDeltaCampaignWithFaultsIdentical(t *testing.T) {
 					Measure: faultinject.Rates{Error: 0.15, Corrupt: 0.1, MaxFaults: 2},
 				})
 			}
-			seq, _ := runPair(t, cfg, 4, mutate)
-			forced := runDelta(t, cfg, 4, core.DeltaOn, mutate)
-			assertDatasetsIdentical(t, seq, forced)
+			seq, fb := runFallbackPair(t, cfg, 4, mutate)
+			assertDatasetsIdentical(t, seq, fb)
 		})
 	}
 }
 
 // TestDeltaCampaignManySeeds sweeps base seeds, heap modes, worker
-// counts and batch widths with the delta engine forced on — the
-// campaign-level property sweep mirroring TestBatchedCampaignManySeeds.
+// counts and batch widths with the fallback forced — the campaign-level
+// property sweep mirroring TestBatchedCampaignManySeeds.
 func TestDeltaCampaignManySeeds(t *testing.T) {
 	trials := 12
 	if testing.Short() {
@@ -108,17 +123,15 @@ func TestDeltaCampaignManySeeds(t *testing.T) {
 		}
 		cfg.Workers = 1 + trial%3
 		batch := []int{2, 3, 7, 9}[trial%4]
-		seq := runDelta(t, cfg, 1, core.DeltaOff, nil)
-		forced := runDelta(t, cfg, batch, core.DeltaOn, nil)
-		assertDatasetsIdentical(t, seq, forced)
+		seq, fb := runFallbackPair(t, cfg, batch, nil)
+		assertDatasetsIdentical(t, seq, fb)
 	}
 }
 
 // TestDeltaSearchIdentical pins the search path: an evolutionary
-// layout-search campaign with the delta engine forced on must produce
-// the same generations (fingerprints, measurements, provenance) as one
-// with delta off — PrimeGenomes routes through the same engine choice
-// as PrimeBatch.
+// layout-search campaign whose PrimeGenomes walks all fail must produce
+// the same generations (fingerprints, measurements, provenance) as the
+// sequential search.
 func TestDeltaSearchIdentical(t *testing.T) {
 	base := core.SearchConfig{
 		Campaign:    smallCampaign(0),
@@ -127,18 +140,23 @@ func TestDeltaSearchIdentical(t *testing.T) {
 	}
 	base.Campaign.Layouts = 1
 	base.Campaign.Workers = 2
+	base.Campaign.Link.DataBase = forcedFallbackBase
 
-	off := base
-	off.Campaign.Delta = core.DeltaOff
-	want, err := core.RunSearch(off)
+	seq := base
+	seq.Campaign.BatchSize = 1
+	want, err := core.RunSearch(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on := base
-	on.Campaign.Delta = core.DeltaOn
-	got, err := core.RunSearch(on)
+	m := obs.NewMetrics()
+	fb := base
+	fb.Campaign.Obs = &obs.Observer{Metrics: m}
+	got, err := core.RunSearch(fb)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fallbackCounter(m) == 0 {
+		t.Fatal("no search walk fell back; the forced fallback did not engage")
 	}
 	if len(want.Generations) != len(got.Generations) {
 		t.Fatalf("generation counts differ: %d vs %d", len(want.Generations), len(got.Generations))
@@ -154,7 +172,7 @@ func TestDeltaSearchIdentical(t *testing.T) {
 				t.Errorf("gen %d idx %d: fingerprints differ", gi, i)
 			}
 			if wi.Obs != ci.Obs {
-				t.Errorf("gen %d idx %d: observations differ:\noff %+v\non  %+v", gi, i, wi.Obs, ci.Obs)
+				t.Errorf("gen %d idx %d: observations differ:\nsequential %+v\nfallback   %+v", gi, i, wi.Obs, ci.Obs)
 			}
 		}
 	}
