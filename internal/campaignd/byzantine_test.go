@@ -273,14 +273,13 @@ func TestTrustProtocolMetricsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	execute := func(layout int) core.ObsWire {
-		exe, berr := runner.BuildLayout(layout)
-		if berr != nil {
-			t.Fatal(berr)
-		}
-		o, merr := runner.MeasureLayout(0, layout, exe)
-		if merr != nil {
-			t.Fatal(merr)
-		}
+		var o core.Observation
+		runner.Run(0, []core.Unit{core.LayoutUnit(layout)}, 1, func(_ int, got core.Observation, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			o = got
+		})
 		wire := o.Wire()
 		wire.Fingerprint = wire.Attest(runner.AttestationKey())
 		return wire

@@ -195,6 +195,15 @@ type task struct {
 	genome *toolchain.Genome
 }
 
+// unit is the task's subject in the campaign's runner: its search
+// individual's genome, or its layout index.
+func (t task) unit() core.Unit {
+	if t.genome != nil {
+		return core.GenomeUnit(*t.genome)
+	}
+	return core.LayoutUnit(t.layout)
+}
+
 // Server is the campaign job service.
 type Server struct {
 	cfg       Config
@@ -734,13 +743,16 @@ func (s *Server) worker(slot int) {
 	}
 }
 
-// runTask executes one leased task. Every exit path settles the lease:
-// Complete when the task is finished for good (success, permanent
-// failure, dead campaign), Requeue when it should run again (seam
-// failure with attempts left, breaker denial).
+// runTask executes one leased task — a layout or a search individual —
+// through the runner's build and measure seams, each behind its
+// breaker. Every exit path settles the lease: Complete when the task is
+// finished for good (success, permanent failure, dead campaign), Requeue
+// when it should run again (seam failure with attempts left, breaker
+// denial).
 func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
 	t := lease.Payload()
 	c := t.camp
+	u := t.unit()
 
 	// Deadline propagation: the campaign context (request deadline,
 	// drain, failure-budget abort) is checked before every stage; a dead
@@ -748,11 +760,6 @@ func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
 	if err := c.ctx.Err(); err != nil {
 		c.abort(context.Cause(c.ctx))
 		lease.Complete()
-		return
-	}
-
-	if t.genome != nil {
-		s.runSearchTask(slot, lease, c, t)
 		return
 	}
 
@@ -764,13 +771,8 @@ func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
 		s.deny(lease, s.build)
 		return
 	}
-	var exe *toolchain.Executable
 	start := s.now()
-	err := core.Guard(func() error {
-		var berr error
-		exe, berr = c.runner.BuildLayout(t.layout)
-		return berr
-	})
+	exe, err := c.runner.Build(u)
 	s.build.Record(s.now().Sub(start), err)
 	if err != nil {
 		s.taskFailed(lease, c, t, fmt.Errorf("build: %w", err))
@@ -788,24 +790,19 @@ func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
 		s.deny(lease, s.measure)
 		return
 	}
-	var o core.Observation
 	start = s.now()
-	err = core.Guard(func() error {
-		var merr error
-		o, merr = c.runner.MeasureLayout(slot, t.layout, exe)
-		return merr
-	})
+	o, err := c.runner.Measure(slot, u, exe)
 	s.measure.Record(s.now().Sub(start), err)
 	if err != nil {
 		s.taskFailed(lease, c, t, fmt.Errorf("measure: %w", err))
 		return
 	}
 
-	c.complete(t.layout, core.CompletedObservation(o, c.attemptsOf(t.layout)+1))
+	c.completeTask(t, o)
 	// ErrLeaseLost here means we overran the lease and the task was
-	// requeued: the result above still counted (complete is idempotent
-	// and a duplicate execution derives identical bytes), and the
-	// re-execution will find the layout done and settle the residue.
+	// requeued: the result above still counted (completion is
+	// idempotent and a duplicate execution derives identical bytes), and
+	// the re-execution will find the task done and settle the residue.
 	lease.Complete()
 }
 

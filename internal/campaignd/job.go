@@ -358,6 +358,17 @@ func (c *campaign) complete(i int, o core.Observation) {
 	}
 }
 
+// completeTask records a successful execution of t, stamped with the
+// attempts the task has taken including this one.
+func (c *campaign) completeTask(t task, o core.Observation) {
+	o = core.CompletedObservation(o, c.attemptsOf(t.layout)+1)
+	if t.genome != nil {
+		c.completeSearch(t, o)
+		return
+	}
+	c.complete(t.layout, o)
+}
+
 // recordFailure counts one failed execution of layout i and reports the
 // total so far. Breaker denials never reach here: they requeue without
 // executing, so they cost no attempt.
@@ -384,7 +395,7 @@ func (c *campaign) failLayout(i, attempts int, err error) {
 		return
 	}
 	c.done[i] = true
-	c.obs[i] = c.runner.FailedObservation(i, attempts)
+	c.obs[i] = c.runner.Failed(core.LayoutUnit(i), attempts)
 	c.failures = append(c.failures, core.LayoutFailure{
 		Index: i, LayoutSeed: c.obs[i].LayoutSeed, Err: err.Error(),
 	})

@@ -75,6 +75,19 @@ type leaseResponse struct {
 	LeaseMS int64 `json:"lease_ms"`
 }
 
+// unit decodes the leased task's subject: its genome through the
+// validating codec, or its layout index.
+func (lr leaseResponse) unit() (core.Unit, error) {
+	if len(lr.Genome) == 0 {
+		return core.LayoutUnit(lr.Layout), nil
+	}
+	g, err := toolchain.DecodeGenome(lr.Genome)
+	if err != nil {
+		return core.Unit{}, fmt.Errorf("decode genome: %w", err)
+	}
+	return core.GenomeUnit(g), nil
+}
+
 // leaseRef names a lease in heartbeat requests.
 type leaseRef struct {
 	LeaseID string `json:"lease_id"`
@@ -260,12 +273,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		s.remote.Accept(worker)
-		o := req.Observation.Observation()
-		if t.genome != nil {
-			c.completeSearch(t, core.CompletedObservation(o, c.attemptsOf(t.layout)+1))
-		} else {
-			c.complete(t.layout, core.CompletedObservation(o, c.attemptsOf(t.layout)+1))
-		}
+		c.completeTask(t, req.Observation.Observation())
 		lease.Complete()
 	}
 	s.writeJSON(w, http.StatusOK, ack{OK: true})
@@ -274,23 +282,16 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 // verifyResult runs the cheap structural checks on a reported
 // observation: the attestation must re-derive against the campaign's
 // own toolchain identity, and the layout seed must be the leased
-// task's. Both are pure recomputation from the coordinator's spec — no
-// re-execution.
+// task's — the layout's derived seed, or a search individual's genome
+// fingerprint. Both are pure recomputation from the coordinator's spec
+// — no re-execution.
 func verifyResult(c *campaign, t task, o *core.ObsWire) error {
 	if err := o.VerifyAttestation(c.runner.AttestationKey()); err != nil {
 		return err
 	}
-	if t.genome != nil {
-		// Search individual: the observation must carry the genome's
-		// fingerprint as its layout seed, or it was derived from the
-		// wrong genome.
-		if want := t.genome.Fingerprint(); o.LayoutSeed != want {
-			return fmt.Errorf("worker observation has layout seed %#x, genome fingerprint is %#x", o.LayoutSeed, want)
-		}
-		return nil
-	}
-	if want := c.runner.LayoutSeed(t.layout); o.LayoutSeed != want {
-		return fmt.Errorf("worker observation has layout seed %#x, layout %d derives %#x", o.LayoutSeed, t.layout, want)
+	u := t.unit()
+	if want := c.runner.Seed(u); o.LayoutSeed != want {
+		return fmt.Errorf("worker observation has layout seed %#x, %v derives %#x", o.LayoutSeed, u, want)
 	}
 	return nil
 }
@@ -337,43 +338,23 @@ func (s *Server) auditPick(c *campaign, t task, attempt int) bool {
 	if rate >= 1 {
 		return true
 	}
-	key := uint64(0)
-	if t.genome != nil {
-		key = t.genome.Fingerprint()
-	} else {
-		key = c.runner.LayoutSeed(t.layout)
-	}
+	key := c.runner.Seed(t.unit())
 	return xrand.New(xrand.Mix(0xa0d17ed, c.spec.effectiveSeed(), key, uint64(attempt))).Float64() < rate
 }
 
 // audit re-executes the leased task through the campaign's reserved
-// runner slot and compares the observation byte for byte with what the
-// worker reported. Audits assume the coordinator's own seams are clean
+// runner slot — one attempt, exactly the chunk a worker runs — and
+// compares the observation byte for byte with what the worker
+// reported. Audits assume the coordinator's own seams are clean
 // (no fault injector on the serve path); they run serialized on the one
 // reserved slot, so at most one audit's build+measure is in flight.
 func (s *Server) audit(c *campaign, t task, got *core.ObsWire) (match bool, err error) {
 	s.auditMu.Lock()
 	defer s.auditMu.Unlock()
 	s.audits.Inc()
-	slot := c.runner.Workers() - 1
 	var o core.Observation
-	err = core.Guard(func() error {
-		var exe *toolchain.Executable
-		var gerr error
-		if t.genome != nil {
-			exe, gerr = c.runner.BuildGenome(*t.genome)
-			if gerr != nil {
-				return gerr
-			}
-			o, gerr = c.runner.MeasureGenome(slot, *t.genome, exe)
-			return gerr
-		}
-		exe, gerr = c.runner.BuildLayout(t.layout)
-		if gerr != nil {
-			return gerr
-		}
-		o, gerr = c.runner.MeasureLayout(slot, t.layout, exe)
-		return gerr
+	c.runner.Run(c.runner.Workers()-1, []core.Unit{t.unit()}, 1, func(_ int, got core.Observation, gerr error) {
+		o, err = got, gerr
 	})
 	if err != nil {
 		return false, err

@@ -44,9 +44,9 @@ type Worker struct {
 	// Batch is the maximum tasks a loop leases per pull (capped at 64,
 	// the batched replay's lane limit). After one task arrives, up to
 	// Batch-1 more are leased without waiting; leases from the same
-	// campaign then share one batched trace walk (core.LayoutRunner.
-	// PrimeBatch) before measuring, which changes throughput but not a
-	// byte of any result. Zero or one leases singly.
+	// campaign then run as one chunk of core.LayoutRunner.Run, sharing
+	// one batched trace walk, which changes throughput but not a byte of
+	// any result. Zero or one leases singly.
 	Batch int
 	// Wait bounds each lease long poll. Zero means the coordinator's
 	// default.
@@ -228,11 +228,14 @@ func (w *Worker) executeGroup(ctx context.Context, runners *workerRunners, slot 
 	}
 }
 
-// executeBatch builds every leased layout of one campaign, primes the
-// runner's batched replay when at least two built (a pure accelerator:
-// a declined prime just measures sequentially, and a primed measurement
-// is bit-identical to an unprimed one), then measures and completes each
-// task individually — a failure costs only its own task.
+// executeBatch runs leased tasks of one campaign — layouts or search
+// individuals — as one chunk through the runner's chunk driver: every
+// task builds, the built ones share one batched trace walk when at
+// least two built (a pure accelerator: a declined or failed walk just
+// measures sequentially, and a primed measurement is bit-identical to
+// an unprimed one), then each is measured and completed individually
+// with one attempt — the coordinator owns retry policy, and a failure
+// costs only its own task.
 func (w *Worker) executeBatch(ctx context.Context, runners *workerRunners, slot int, batch []leaseResponse) {
 	runner, err := runners.get(batch[0].CampaignID, batch[0].Spec, batch[0].Scale)
 	if err != nil {
@@ -241,95 +244,27 @@ func (w *Worker) executeBatch(ctx context.Context, runners *workerRunners, slot 
 		}
 		return
 	}
-	if len(batch[0].Genome) > 0 {
-		w.executeGenomeBatch(ctx, runner, slot, batch)
-		return
-	}
-	built := batch[:0:0]
-	var idxs []int
-	var exes []*toolchain.Executable
+	leases := batch[:0:0]
+	units := make([]core.Unit, 0, len(batch))
 	for _, lr := range batch {
-		var exe *toolchain.Executable
-		err := core.Guard(func() error {
-			var berr error
-			exe, berr = runner.BuildLayout(lr.Layout)
-			return berr
-		})
+		u, err := lr.unit()
 		if err != nil {
-			w.complete(ctx, completeRequest{LeaseID: lr.LeaseID, Error: fmt.Sprintf("build: %v", err)})
+			w.complete(ctx, completeRequest{LeaseID: lr.LeaseID, Error: err.Error()})
 			continue
 		}
-		built = append(built, lr)
-		idxs = append(idxs, lr.Layout)
-		exes = append(exes, exe)
+		leases = append(leases, lr)
+		units = append(units, u)
 	}
-	if len(built) >= 2 {
-		// Diagnostic only: an un-primed slot replays each layout itself.
-		_ = core.Guard(func() error { return runner.PrimeBatch(slot, idxs, exes) })
-	}
-	for j, lr := range built {
-		var o core.Observation
-		err := core.Guard(func() error {
-			var merr error
-			o, merr = runner.MeasureLayout(slot, lr.Layout, exes[j])
-			return merr
-		})
+	runner.Run(slot, units, 1, func(j int, o core.Observation, err error) {
+		req := completeRequest{LeaseID: leases[j].LeaseID}
 		if err != nil {
-			w.complete(ctx, completeRequest{LeaseID: lr.LeaseID, Error: fmt.Sprintf("measure: %v", err)})
-			continue
+			req.Error = err.Error()
+		} else {
+			wire := w.stamp(o, runner)
+			req.Observation = &wire
 		}
-		wire := w.stamp(o, runner)
-		w.complete(ctx, completeRequest{LeaseID: lr.LeaseID, Observation: &wire})
-	}
-}
-
-// executeGenomeBatch is executeBatch for search individuals: each lease
-// carries its genome's canonical encoding instead of a layout index.
-// The decoded genomes build, share one batched trace walk when at least
-// two built, and measure through the same per-genome pipeline the
-// coordinator's local pool uses — identical bytes either way.
-func (w *Worker) executeGenomeBatch(ctx context.Context, runner *core.LayoutRunner, slot int, batch []leaseResponse) {
-	built := batch[:0:0]
-	var genomes []toolchain.Genome
-	var exes []*toolchain.Executable
-	for _, lr := range batch {
-		g, err := toolchain.DecodeGenome(lr.Genome)
-		if err != nil {
-			w.complete(ctx, completeRequest{LeaseID: lr.LeaseID, Error: fmt.Sprintf("decode genome: %v", err)})
-			continue
-		}
-		var exe *toolchain.Executable
-		err = core.Guard(func() error {
-			var berr error
-			exe, berr = runner.BuildGenome(g)
-			return berr
-		})
-		if err != nil {
-			w.complete(ctx, completeRequest{LeaseID: lr.LeaseID, Error: fmt.Sprintf("build: %v", err)})
-			continue
-		}
-		built = append(built, lr)
-		genomes = append(genomes, g)
-		exes = append(exes, exe)
-	}
-	if len(built) >= 2 {
-		// Diagnostic only: an un-primed slot replays each genome itself.
-		_ = core.Guard(func() error { return runner.PrimeGenomes(slot, genomes, exes) })
-	}
-	for j, lr := range built {
-		var o core.Observation
-		err := core.Guard(func() error {
-			var merr error
-			o, merr = runner.MeasureGenome(slot, genomes[j], exes[j])
-			return merr
-		})
-		if err != nil {
-			w.complete(ctx, completeRequest{LeaseID: lr.LeaseID, Error: fmt.Sprintf("measure: %v", err)})
-			continue
-		}
-		wire := w.stamp(o, runner)
-		w.complete(ctx, completeRequest{LeaseID: lr.LeaseID, Observation: &wire})
-	}
+		w.complete(ctx, req)
+	})
 }
 
 // stamp attests an observation against the runner's toolchain identity

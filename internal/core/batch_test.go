@@ -12,7 +12,6 @@ import (
 	"interferometry/internal/pmc"
 	"interferometry/internal/progen"
 	"interferometry/internal/results"
-	"interferometry/internal/toolchain"
 )
 
 // runPair runs the same campaign config twice — sequentially
@@ -135,8 +134,8 @@ func TestBatchedCampaignIdenticalToSequential(t *testing.T) {
 // on the scalar path but is refused by machine.Batch. The chunk's
 // layouts must then replay sequentially, byte-identical to the
 // sequential run, and the one failed walk (one worker, one chunk) must
-// be counted. LayoutRunner.PrimeBatch, the walk campaignd workers run,
-// counts its failed walk the same way.
+// be counted. A chunk driven through LayoutRunner.Run directly, as
+// campaignd workers drive theirs, falls back and counts the same way.
 func TestBatchWalkFailureFallsBack(t *testing.T) {
 	cfg := smallCampaign(4)
 	cfg.Workers = 1
@@ -161,18 +160,17 @@ func TestBatchWalkFailureFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxs := []int{0, 1, 2, 3}
-	exes := make([]*toolchain.Executable, len(idxs))
-	for j, i := range idxs {
-		if exes[j], err = r.BuildLayout(i); err != nil {
-			t.Fatal(err)
+	units := []core.Unit{core.LayoutUnit(0), core.LayoutUnit(1), core.LayoutUnit(2), core.LayoutUnit(3)}
+	r.Run(0, units, 1, func(j int, o core.Observation, err error) {
+		if err != nil {
+			t.Fatalf("layout %d after a failed walk: %v", j, err)
 		}
-	}
-	if err := r.PrimeBatch(0, idxs, exes); err == nil {
-		t.Fatal("PrimeBatch walked a data segment beyond the batch address limit")
-	}
+		if o != seq.Obs[j] {
+			t.Errorf("layout %d after a failed walk differs from the sequential run", j)
+		}
+	})
 	if n := fallbacks.Value(); n != 2 {
-		t.Errorf("batch walk fallbacks after PrimeBatch = %d, want 2", n)
+		t.Errorf("batch walk fallbacks after the runner's chunk = %d, want 2", n)
 	}
 }
 

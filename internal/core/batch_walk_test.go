@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"interferometry/internal/heap"
-	"interferometry/internal/interp"
 	"interferometry/internal/machine"
 	"interferometry/internal/testprog"
 )
@@ -21,27 +20,26 @@ func TestBatchWalkNilObserverAllocs(t *testing.T) {
 		BaseSeed:  7,
 		HeapMode:  heap.ModeRandomized,
 	}
-	trace, err := interp.Run(cfg.Program, cfg.InputSeed, cfg.stopRule())
+	r, err := NewLayoutRunner(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	build, _, _, harnesses := newSeams(&cfg, 1)
-	slots := newBatchSlots(cfg.machineConfig(), harnesses, cfg.Layouts)
-	if slots == nil {
-		t.Fatal("default machine config is not batchable")
+	defer r.release()
+	slot := r.slots[0]
+	if err := slot.engine(cfg.machineConfig(), cfg.Layouts); err != nil {
+		t.Fatalf("default machine config is not batchable: %v", err)
 	}
-	defer releaseBatchSlots(slots)
-	slot := slots[0]
 	for i := 0; i < cfg.Layouts; i++ {
-		exe, err := buildLayout(&cfg, nil, build, i, 0)
+		u := LayoutUnit(i)
+		exe, err := r.Build(u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slot.specs = append(slot.specs, machine.RunSpec{Exe: exe, Trace: trace, HeapMode: cfg.HeapMode, HeapSeed: cfg.heapSeed(i)})
+		slot.specs = append(slot.specs, machine.RunSpec{Exe: exe, Trace: r.trace, HeapMode: cfg.HeapMode, HeapSeed: u.heapSeed(&cfg)})
 	}
 	walk := func() {
 		slot.cache.reset()
-		slot.walk(nil)
+		slot.walk(nil, 0, 0)
 	}
 	walk()
 	if len(slot.cache.specs) != cfg.Layouts {

@@ -17,12 +17,10 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"interferometry/internal/faultinject"
 	"interferometry/internal/heap"
@@ -272,27 +270,6 @@ func (c *CampaignConfig) layoutSeed(i int) uint64 {
 	return xrand.Mix(c.BaseSeed, 0x6c61796f, uint64(c.FirstLayout+i)) | 1
 }
 
-// heapSeed derives the heap-randomizer seed of the i-th layout. Heap seed
-// zero is the sentinel for "no randomization" in recorded observations
-// (ModeBump), so the derived stream must never produce it: a Mix output
-// of zero is remapped to the stream tag.
-func (c *CampaignConfig) heapSeed(i int) uint64 {
-	if s := xrand.Mix(c.BaseSeed, 0x68656170, uint64(c.FirstLayout+i)); s != 0 {
-		return s
-	}
-	return 0x68656170
-}
-
-// noiseSeed derives the noise stream of the i-th layout, with the same
-// nonzero guarantee as heapSeed so the three per-layout streams stay
-// disjoint from each mode's zero sentinel.
-func (c *CampaignConfig) noiseSeed(i int) uint64 {
-	if s := xrand.Mix(c.BaseSeed, 0x6e6f6973, uint64(c.FirstLayout+i)); s != 0 {
-		return s
-	}
-	return 0x6e6f6973
-}
-
 // buildSeam and measureSeam are the two narrow interfaces every
 // measurement passes through; the fault injector wraps them and the
 // supervisor retries across them.
@@ -304,102 +281,36 @@ type measureSeam interface {
 	Measure(spec machine.RunSpec) (pmc.Measurement, error)
 }
 
-// newSeams prepares the campaign's two measurement seams: one compile
-// shared by every layout and worker (only Reorder+Link depend on the
-// layout seed) and one counter harness per worker slot, both wrapped by
-// the fault injector when one is configured. The bare harnesses are
-// returned alongside the (possibly fault-wrapped) seams so the batched
-// replay path can wire each harness's Det source. The genome seam is
-// the same builder (cached when a layout cache is configured) exposed
-// by explicit permutation instead of seed; fault wrapping for genome
-// builds happens per call, keyed by fingerprint, in buildGenome.
-func newSeams(cfg *CampaignConfig, workers int) (buildSeam, genomeSeam, []measureSeam, []*pmc.Harness) {
-	builder := toolchain.NewBuilder(cfg.Program, cfg.Compile, cfg.Link)
-	builder.Observe(builderMetrics(cfg.Obs))
-	var build buildSeam = builder
-	var gb genomeSeam = builder
-	if cfg.LayoutCache != nil {
-		cb := toolchain.NewCachedBuilder(builder, cfg.LayoutCache)
-		build = cb
-		gb = cb
-	}
-	if cfg.Faults != nil {
-		cfg.Faults.Observe(cfg.Obs)
-		build = cfg.Faults.WrapBuilder(build)
-	}
-	mcfg := cfg.machineConfig()
-	hmetrics := harnessMetrics(cfg.Obs)
-	measurers := make([]measureSeam, workers)
-	harnesses := make([]*pmc.Harness, workers)
-	for w := range measurers {
-		h := &pmc.Harness{
-			Machine:      machine.New(mcfg),
-			Fidelity:     cfg.Fidelity,
-			RunsPerGroup: cfg.RunsPerGroup,
-			Metrics:      hmetrics,
-		}
-		harnesses[w] = h
-		if cfg.Faults != nil {
-			measurers[w] = cfg.Faults.WrapMeasurer(h)
-		} else {
-			measurers[w] = h
-		}
-	}
-	return build, gb, measurers, harnesses
-}
-
 // RunCampaign executes the campaign under the supervisor: one trace,
 // Layouts executables, one measurement each, with retries, failure
 // budget, outlier screening and checkpointing per the config.
 func RunCampaign(cfg CampaignConfig) (*Dataset, error) {
-	if cfg.Program == nil {
-		return nil, errors.New("core: campaign needs a program")
-	}
-	if cfg.Layouts <= 0 {
-		return nil, errors.New("core: campaign needs at least one layout")
-	}
-	if cfg.Budget == 0 && cfg.Limiter.StopCount == 0 {
-		return nil, errors.New("core: campaign needs a budget or limiter")
-	}
-
-	trace, err := interp.Run(cfg.Program, cfg.InputSeed, cfg.stopRule())
+	r, err := NewLayoutRunner(cfg, normalizeWorkers(cfg.Workers, cfg.Layouts))
 	if err != nil {
-		return nil, fmt.Errorf("core: trace generation failed: %w", err)
+		return nil, err
 	}
-	return runWithTrace(cfg, trace)
+	return r.campaign()
 }
 
-// runWithTrace is the supervised sweep behind RunCampaign and Extend:
-// the trace is layout-independent, so extensions reuse it instead of
-// re-interpreting the program.
-func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
+// campaign is the supervised sweep behind RunCampaign and Extend: each
+// worker takes contiguous chunks of the effective batch width through
+// the chunk driver, and a width of 1 is the sequential path. Batched
+// replay is pinned bit-identical to sequential replay, so everything
+// downstream — retries, failure budget, outlier screen, checkpoints —
+// is shared.
+func (r *LayoutRunner) campaign() (*Dataset, error) {
+	defer r.release()
+	cfg, co := &r.cfg, r.co
 	ds := &Dataset{
 		Benchmark: cfg.Program.Name,
-		Config:    cfg,
-		Trace:     trace,
+		Config:    *cfg,
+		Trace:     r.trace,
 		Obs:       make([]Observation, cfg.Layouts),
 	}
-
-	co := newCampaignObs(&cfg)
 	campSpan := obs.Span{}
 	if co != nil {
 		campSpan = co.o.StartSpan("campaign", co.campID, 0, 0)
 		co.o.Prog().AddTotal(cfg.Layouts)
-	}
-
-	workers := normalizeWorkers(cfg.Workers, cfg.Layouts)
-	build, _, measurers, harnesses := newSeams(&cfg, workers)
-
-	// Batched replay: when the effective batch width exceeds 1, each
-	// worker takes contiguous chunks of layouts and walks the trace once
-	// per chunk, priming its harness's Det source. Results are pinned
-	// bit-identical to the sequential path, so everything downstream —
-	// retries, failure budget, outlier screen, checkpoints — is shared.
-	bs := cfg.batchSize(workers)
-	var slots []*batchSlot
-	if bs > 1 {
-		slots = newBatchSlots(cfg.machineConfig(), harnesses, bs)
-		defer releaseBatchSlots(slots)
 	}
 
 	// Checkpoint: load completed observations on resume, then persist
@@ -409,7 +320,7 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 	if cfg.Checkpoint.Dir != "" {
 		var loaded map[int]Observation
 		var err error
-		ckpt, loaded, err = openCheckpoint(&cfg)
+		ckpt, loaded, err = openCheckpoint(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -438,34 +349,26 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 			co.o.Prog().Done()
 		}
 	}
-	var failed []*IndexError
-	var err error
-	if slots != nil {
-		failed, err = superviseChunksT(cfg.context(), workers, cfg.Layouts, bs, cfg.FailureBudget, newSupTel(cfg.Obs), func(w, lo, hi int, fail func(i int, err error)) {
-			measureChunk(&cfg, co, slots[w], measurers[w], build, trace, lo, hi, w, done, record, fail)
-		})
-	} else {
-		failed, err = superviseForT(cfg.context(), workers, cfg.Layouts, cfg.FailureBudget, newSupTel(cfg.Obs), func(w, i int) error {
-			if done[i] {
-				if co != nil {
-					co.o.Prog().Done()
-				}
-				return nil
+	workers := r.Workers()
+	failed, err := superviseChunksT(cfg.context(), workers, cfg.Layouts, cfg.batchSize(workers), cfg.FailureBudget, newSupTel(cfg.Obs), func(w, lo, hi int, fail func(i int, err error)) {
+		units := make([]Unit, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			if !done[i] {
+				units = append(units, LayoutUnit(i))
+			} else if co != nil {
+				co.o.Prog().Done()
 			}
-			o, merr := measureLayout(&cfg, co, measurers[w], build, trace, i, w)
-			if merr != nil {
-				return merr
-			}
-			record(i, o)
-			return nil
-		})
-	}
-	for _, f := range failed {
-		o := Observation{LayoutSeed: cfg.layoutSeed(f.Index), Status: StatusFailed}
-		if cfg.HeapMode == heap.ModeRandomized {
-			o.HeapSeed = cfg.heapSeed(f.Index)
 		}
-		o.Attempts = cfg.maxAttempts()
+		r.Run(w, units, cfg.maxAttempts(), func(j int, o Observation, err error) {
+			if err != nil {
+				fail(units[j].index, err)
+				return
+			}
+			record(units[j].index, o)
+		})
+	})
+	for _, f := range failed {
+		o := r.Failed(LayoutUnit(f.Index), cfg.maxAttempts())
 		ds.Obs[f.Index] = o
 		ds.Failures = append(ds.Failures, LayoutFailure{Index: f.Index, LayoutSeed: o.LayoutSeed, Err: f.Err.Error()})
 		if err == nil && ckpt != nil {
@@ -483,7 +386,7 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 		return nil, fmt.Errorf("core: campaign %s aborted: %w", ds.Benchmark, err)
 	}
 
-	if err := screenOutliers(&cfg, co, ds, measurers, build, trace, ckpt); err != nil {
+	if err := screenOutliers(r, ds, ckpt); err != nil {
 		campSpan.End()
 		return nil, fmt.Errorf("core: campaign %s aborted in the outlier screen: %w", ds.Benchmark, err)
 	}
@@ -497,124 +400,6 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 		}
 	}
 	return ds, nil
-}
-
-// measureLayout builds and measures one layout with bounded attempts.
-// All attempts derive identical seeds — the pipeline is deterministic, so
-// a transient fault cleared by retrying yields the exact observation an
-// undisturbed run produces.
-func measureLayout(cfg *CampaignConfig, co *campaignObs, meas measureSeam, build buildSeam, trace *interp.Trace, i, w int) (Observation, error) {
-	attempts := cfg.maxAttempts()
-	layoutStage := stage{}
-	if co != nil {
-		layID := co.layoutID(cfg, i)
-		layoutStage = stage{
-			co:   co,
-			span: co.o.StartSpan("layout", layID, co.campID, w+1),
-			hist: co.layoutSec,
-			t0:   time.Now(),
-		}
-	}
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		obs, err := measureLayoutOnce(cfg, co, meas, build, trace, i, w)
-		if err == nil {
-			obs.Attempts = a + 1
-			if a > 0 {
-				obs.Status = StatusRetried
-			}
-			layoutStage.end()
-			return obs, nil
-		}
-		lastErr = err
-		if a < attempts-1 {
-			if co != nil {
-				co.o.Prog().Retry()
-			}
-			// Space the next attempt per the campaign's backoff policy
-			// (zero policy: no delay, no cancellation point). The jitter
-			// keys off the layout seed, so a resumed or replayed
-			// campaign backs off by identical amounts.
-			if serr := cfg.Backoff.Sleep(cfg.context(), a+1, cfg.BaseSeed, cfg.layoutSeed(i)); serr != nil {
-				layoutStage.end()
-				return Observation{}, fmt.Errorf("core: layout %d: retry backoff interrupted: %w", i, serr)
-			}
-		}
-	}
-	layoutStage.end()
-	return Observation{}, fmt.Errorf("core: layout %d failed after %d attempts: %w", i, attempts, lastErr)
-}
-
-func measureLayoutOnce(cfg *CampaignConfig, co *campaignObs, meas measureSeam, build buildSeam, trace *interp.Trace, i, w int) (Observation, error) {
-	if co != nil {
-		co.attempts.Inc()
-	}
-	exe, err := buildLayout(cfg, co, build, i, w)
-	if err != nil {
-		return Observation{}, err
-	}
-	return measureBuilt(cfg, co, meas, trace, exe, i, w)
-}
-
-// buildLayout is one attempt through the build seam: reorder+link for
-// layout i plus the executable integrity check that catches silent
-// corruption before it can be measured.
-func buildLayout(cfg *CampaignConfig, co *campaignObs, build buildSeam, i, w int) (*toolchain.Executable, error) {
-	var layID uint64
-	if co != nil {
-		layID = co.layoutID(cfg, i)
-	}
-	st := co.stageStart("compile", layID, tagCompile, w)
-	defer st.end()
-	exe, err := build.Build(cfg.layoutSeed(i))
-	if err != nil {
-		return nil, fmt.Errorf("core: layout %d: %w", i, err)
-	}
-	if err := toolchain.CheckExecutable(exe, cfg.FirstLayout+i); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return exe, nil
-}
-
-// measureBuilt is one attempt through the measure seam: the counter
-// harness run plus the plausibility check on its readings. The heap and
-// noise seeds are re-derived from the config, so any executable built
-// for layout i measures identically wherever and whenever it runs.
-func measureBuilt(cfg *CampaignConfig, co *campaignObs, meas measureSeam, trace *interp.Trace, exe *toolchain.Executable, i, w int) (Observation, error) {
-	var layID uint64
-	if co != nil {
-		layID = co.layoutID(cfg, i)
-	}
-	seed := cfg.layoutSeed(i)
-	hs := uint64(0)
-	if cfg.HeapMode == heap.ModeRandomized {
-		hs = cfg.heapSeed(i)
-	}
-	ns := cfg.noiseSeed(i)
-	st := co.stageStart("run", layID, tagRun, w)
-	m, err := meas.Measure(machine.RunSpec{
-		Exe:       exe,
-		Trace:     trace,
-		HeapMode:  cfg.HeapMode,
-		HeapSeed:  hs,
-		NoiseSeed: ns,
-	})
-	st.end()
-	if err != nil {
-		return Observation{}, fmt.Errorf("core: layout %d: %w", i, err)
-	}
-	st = co.stageStart("fit", layID, tagFit, w)
-	err = m.Check(trace.Instrs, pmc.RunID{
-		Layout:     cfg.FirstLayout + i,
-		LayoutSeed: seed,
-		HeapSeed:   hs,
-		NoiseSeed:  ns,
-	})
-	st.end()
-	if err != nil {
-		return Observation{}, fmt.Errorf("core: %w", err)
-	}
-	return Observation{LayoutSeed: seed, HeapSeed: hs, Measurement: m}, nil
 }
 
 // measurementValid reports whether a measurement's counters can enter
@@ -643,12 +428,15 @@ func measurementValid(m pmc.Measurement) bool {
 // valid reading — garbage counters must not pose as data. A zero or
 // negative cfg.OutlierMAD disables the screen.
 //
-// The re-measurement pool has one worker per measurer: worker w owns
-// measurers[w]. A re-measurement that panics settles exactly like one
-// that returned an error, and every failed re-measurement is counted.
-// The returned error is non-nil only when the campaign's context ends
-// the sweep early, leaving flagged layouts unsettled.
-func screenOutliers(cfg *CampaignConfig, co *campaignObs, ds *Dataset, measurers []measureSeam, build buildSeam, trace *interp.Trace, ckpt *checkpointWriter) error {
+// The re-measurement pool has one worker per runner slot, and each
+// flagged layout is a chunk of one through the runner with the
+// campaign's full attempt budget. A re-measurement that panics settles
+// exactly like one that returned an error, and every failed
+// re-measurement is counted. The returned error is non-nil only when
+// the campaign's context ends the sweep early, leaving flagged layouts
+// unsettled.
+func screenOutliers(r *LayoutRunner, ds *Dataset, ckpt *checkpointWriter) error {
+	cfg, co := &r.cfg, r.co
 	if cfg.OutlierMAD <= 0 {
 		return nil
 	}
@@ -720,10 +508,7 @@ func screenOutliers(cfg *CampaignConfig, co *campaignObs, ds *Dataset, measurers
 		if err != nil {
 			cause = fmt.Errorf("core: layout %d: invalid measurement (corrupt counters): re-measurement failed: %w", i, err)
 		}
-		failed := Observation{LayoutSeed: cfg.layoutSeed(i), Status: StatusFailed, Attempts: prev.Attempts + cfg.maxAttempts()}
-		if cfg.HeapMode == heap.ModeRandomized {
-			failed.HeapSeed = cfg.heapSeed(i)
-		}
+		failed := r.Failed(LayoutUnit(i), prev.Attempts+cfg.maxAttempts())
 		ds.Obs[i] = failed
 		ds.Failures = append(ds.Failures, LayoutFailure{Index: i, LayoutSeed: failed.LayoutSeed, Err: cause.Error()})
 		if ckpt != nil {
@@ -733,19 +518,20 @@ func screenOutliers(cfg *CampaignConfig, co *campaignObs, ds *Dataset, measurers
 			co.layoutsFailed.Inc()
 		}
 	}
-	workers := normalizeWorkers(len(measurers), len(flagged))
+	workers := normalizeWorkers(r.Workers(), len(flagged))
 	// Tolerate every re-measurement failing: the screen improves the
 	// dataset when it can and never degrades it.
 	panicked, err := superviseForT(cfg.context(), workers, len(flagged), len(flagged), newSupTel(cfg.Obs), func(w, fi int) error {
 		i := flagged[fi]
-		o, err := measureLayout(cfg, co, measurers[w], build, trace, i, w)
-		mu.Lock()
-		defer mu.Unlock()
-		settle(i, o, err)
+		r.Run(w, []Unit{LayoutUnit(i)}, cfg.maxAttempts(), func(_ int, o Observation, err error) {
+			mu.Lock()
+			defer mu.Unlock()
+			settle(i, o, err)
+		})
 		return nil
 	})
-	// fn returns nil, so every supervised failure is a recovered panic
-	// that never reached settle.
+	// fn returns nil and Run recovers seam panics, so a supervised
+	// failure is a panic outside the seams that never reached settle.
 	for _, f := range panicked {
 		settle(flagged[f.Index], Observation{}, f.Err)
 	}
@@ -768,7 +554,7 @@ func (d *Dataset) Extend(more int) (*Dataset, error) {
 	cfg.FirstLayout += cfg.Layouts
 	cfg.Layouts = more
 	cfg.Checkpoint = CheckpointConfig{}
-	extra, err := runWithTrace(cfg, d.Trace)
+	extra, err := newRunner(cfg, d.Trace, normalizeWorkers(cfg.Workers, cfg.Layouts)).campaign()
 	if err != nil {
 		return nil, err
 	}

@@ -22,6 +22,7 @@ const (
 	tagEvaluate  uint64 = 0x6576616c // "eval"
 	tagCacheEval uint64 = 0x63616368 // "cach"
 	tagLinearity uint64 = 0x6c696e65 // "line"
+	tagWalk      uint64 = 0x77616c6b // "walk"
 )
 
 // hashName folds a benchmark name into the span-ID chain (FNV-1a 64).
@@ -64,6 +65,7 @@ type campaignObs struct {
 	runSec     *obs.Histogram
 	fitSec     *obs.Histogram
 	layoutSec  *obs.Histogram
+	walkSec    *obs.Histogram
 }
 
 // newCampaignObs resolves the campaign instruments, or nil when the
@@ -88,13 +90,9 @@ func newCampaignObs(cfg *CampaignConfig) *campaignObs {
 		compileSec:       o.Histogram("interferometry_stage_compile_seconds", "reorder+link+check stage latency", obs.DurationBuckets),
 		runSec:           o.Histogram("interferometry_stage_run_seconds", "measurement stage latency", obs.DurationBuckets),
 		fitSec:           o.Histogram("interferometry_stage_fit_seconds", "plausibility-check+record stage latency", obs.DurationBuckets),
-		layoutSec:        o.Histogram("interferometry_layout_seconds", "whole-layout latency including retries", obs.DurationBuckets),
+		layoutSec:        o.Histogram("interferometry_layout_seconds", "per-layout measure latency including retries", obs.DurationBuckets),
+		walkSec:          o.Histogram("interferometry_stage_walk_seconds", "batched trace walk latency, one per walked chunk", obs.DurationBuckets),
 	}
-}
-
-// layoutID derives the deterministic span ID of campaign-local layout i.
-func (co *campaignObs) layoutID(cfg *CampaignConfig, i int) uint64 {
-	return obs.SpanID(co.campID, tagLayout, uint64(cfg.FirstLayout+i))
 }
 
 // stage is one timed, traced step of a layout measurement.
@@ -105,28 +103,50 @@ type stage struct {
 	t0   time.Time
 }
 
-// stageStart opens a stage span in the worker's tid lane (lane w+1; lane
-// 0 is reserved for campaign-level spans) and starts its latency timer.
+// start opens a span in the worker's tid lane (lane w+1; lane 0 is
+// reserved for campaign-level spans) and starts the latency timer hist
+// records when the stage ends.
+func (co *campaignObs) start(name string, id, parent uint64, hist *obs.Histogram, w int) stage {
+	return stage{
+		co:   co,
+		span: co.o.StartSpan(name, id, parent, w+1),
+		hist: hist,
+		t0:   time.Now(),
+	}
+}
+
+// stageStart opens one stage of a unit's attempt under its layout span.
 // The stage tag selects both the span identity and the latency histogram.
 func (co *campaignObs) stageStart(name string, layoutID, tag uint64, w int) stage {
 	if co == nil {
 		return stage{}
 	}
-	var hist *obs.Histogram
+	hist := co.fitSec
 	switch tag {
 	case tagCompile:
 		hist = co.compileSec
 	case tagRun:
 		hist = co.runSec
-	case tagFit:
-		hist = co.fitSec
 	}
-	return stage{
-		co:   co,
-		span: co.o.StartSpan(name, obs.SpanID(layoutID, tag), layoutID, w+1),
-		hist: hist,
-		t0:   time.Now(),
+	return co.start(name, obs.SpanID(layoutID, tag), layoutID, hist, w)
+}
+
+// layoutStart opens a unit's layout span under the campaign span: its
+// measure and every retry.
+func (co *campaignObs) layoutStart(id uint64, w int) stage {
+	if co == nil {
+		return stage{}
 	}
+	return co.start("layout", id, co.campID, co.layoutSec, w)
+}
+
+// walkStart opens a chunk's batched walk under the campaign span, keyed
+// by the chunk's first unit.
+func (co *campaignObs) walkStart(key uint64, w int) stage {
+	if co == nil {
+		return stage{}
+	}
+	return co.start("walk", obs.SpanID(co.campID, tagWalk, key), co.campID, co.walkSec, w)
 }
 
 // end closes the span and records the stage latency.

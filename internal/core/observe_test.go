@@ -14,11 +14,19 @@ import (
 // observedCampaign runs a small campaign with full observability and
 // returns the dataset, trace events and metrics registry.
 func observedCampaign(t *testing.T, layouts int) (*core.Dataset, []obs.TraceEvent, *obs.Metrics) {
+	return observedBatchCampaign(t, layouts, 0, 0)
+}
+
+// observedBatchCampaign is observedCampaign at a given worker count and
+// batch width (zero means the defaults).
+func observedBatchCampaign(t *testing.T, layouts, workers, batch int) (*core.Dataset, []obs.TraceEvent, *obs.Metrics) {
 	t.Helper()
 	var traceBuf, progBuf bytes.Buffer
 	m := obs.NewMetrics()
 	tr := obs.NewTracer(&traceBuf)
 	cfg := smallCampaign(layouts)
+	cfg.Workers = workers
+	cfg.BatchSize = batch
 	cfg.Obs = &obs.Observer{
 		Metrics:  m,
 		Tracer:   tr,
@@ -38,12 +46,34 @@ func observedCampaign(t *testing.T, layouts int) (*core.Dataset, []obs.TraceEven
 	return ds, events, m
 }
 
+// observedRows are the batch widths the observability tests cover on
+// two workers: sequential, where no chunk walks, and the automatic
+// width, where each worker's one chunk of layouts/2 walks once.
+var observedRows = []struct {
+	name  string
+	batch int
+	walks func(layouts int) int
+}{
+	{name: "sequential", batch: 1, walks: func(int) int { return 0 }},
+	{name: "auto", batch: 0, walks: func(int) int { return 2 }},
+}
+
 // TestObservedCampaignSpanTree pins the acceptance criterion: the trace
 // covers every layout's compile→run→fit stages, each stage parented on
-// its layout span, each layout parented on the campaign span.
+// its layout span, each layout parented on the campaign span, and every
+// walked chunk is one walk span on the campaign span.
 func TestObservedCampaignSpanTree(t *testing.T) {
-	const layouts = 8
-	_, events, _ := observedCampaign(t, layouts)
+	for _, row := range observedRows {
+		t.Run(row.name, func(t *testing.T) {
+			const layouts = 8
+			_, events, _ := observedBatchCampaign(t, layouts, 2, row.batch)
+			checkSpanTree(t, events, layouts, row.walks(layouts))
+		})
+	}
+}
+
+func checkSpanTree(t *testing.T, events []obs.TraceEvent, layouts, walks int) {
+	t.Helper()
 
 	byID := map[uint64]obs.TraceEvent{}
 	parentOf := map[uint64]uint64{}
@@ -73,6 +103,9 @@ func TestObservedCampaignSpanTree(t *testing.T) {
 	}
 	if got := kids[campID]["layout"]; got != layouts {
 		t.Fatalf("campaign has %d layout spans, want %d", got, layouts)
+	}
+	if got := kids[campID]["walk"]; got != walks {
+		t.Fatalf("campaign has %d walk spans, want %d", got, walks)
 	}
 	layoutSpans := 0
 	for id, ev := range byID {
@@ -123,8 +156,18 @@ func TestObservedCampaignDeterministicSpanIDs(t *testing.T) {
 }
 
 func TestObservedCampaignMetrics(t *testing.T) {
-	const layouts = 10
-	ds, _, m := observedCampaign(t, layouts)
+	for _, row := range observedRows {
+		t.Run(row.name, func(t *testing.T) {
+			const layouts = 10
+			ds, _, m := observedBatchCampaign(t, layouts, 2, row.batch)
+			checkCampaignMetrics(t, ds, m, layouts, row.walks(layouts))
+		})
+	}
+}
+
+func checkCampaignMetrics(t *testing.T, ds *core.Dataset, m *obs.Metrics, n, walks int) {
+	t.Helper()
+	layouts := uint64(n)
 	if n := m.Counter("interferometry_layouts_done_total", "").Value(); n != layouts {
 		t.Errorf("layouts_done = %d, want %d", n, layouts)
 	}
@@ -140,6 +183,9 @@ func TestObservedCampaignMetrics(t *testing.T) {
 	if m.Histogram("interferometry_stage_run_seconds", "", obs.DurationBuckets).Count() != layouts {
 		t.Error("run-stage histogram did not see every layout")
 	}
+	if n := m.Histogram("interferometry_stage_walk_seconds", "", obs.DurationBuckets).Count(); n != uint64(walks) {
+		t.Errorf("walk-stage histogram saw %d walks, want %d", n, walks)
+	}
 	busy := m.Gauge("interferometry_worker_busy_seconds", "").Value()
 	if busy <= 0 {
 		t.Errorf("worker busy time %v, want > 0", busy)
@@ -147,7 +193,7 @@ func TestObservedCampaignMetrics(t *testing.T) {
 	if m.Histogram("interferometry_queue_wait_seconds", "", obs.DurationBuckets).Count() != layouts {
 		t.Error("queue-wait histogram did not see every index")
 	}
-	if ds.EffectiveN() != layouts {
+	if ds.EffectiveN() != n {
 		t.Errorf("EffectiveN = %d", ds.EffectiveN())
 	}
 	// The JSON export round-trips.

@@ -4,45 +4,43 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
-	"interferometry/internal/heap"
 	"interferometry/internal/interp"
 	"interferometry/internal/machine"
 	"interferometry/internal/pmc"
 	"interferometry/internal/toolchain"
 )
 
-// LayoutRunner exposes the campaign's per-layout pipeline to external
-// schedulers — campaignd leases layout indices from its job queue and
-// drives them through here. The shared work (trace interpretation, the
-// one compile every layout reorders) happens once in NewLayoutRunner;
-// after that any layout index can be built and measured independently on
-// any worker slot, in any order, any number of times, and always yields
-// the same observation: every per-layout input is re-derived from the
-// campaign config, never from scheduler state.
+// LayoutRunner is the campaign's per-layout pipeline, and every
+// scheduler drives it: RunCampaign and Extend, the outlier screen, the
+// layout search, and campaignd's coordinator and remote workers. The
+// shared work (trace interpretation, the one compile every layout
+// reorders) happens once at construction; after that any unit — layout
+// index or genome — can be built and measured independently on any
+// worker slot, in any order, any number of times, and always yields the
+// same observation: every per-unit input is re-derived from the campaign
+// config, never from scheduler state.
 //
-// The build and measure seams are exposed separately (instead of one
-// measure-layout call) so a scheduler can wrap each in its own circuit
-// breaker and attribute failures to the seam that caused them. Fault
-// injection, when configured, is already inside both seams.
+// Run is the chunk driver. Build and Measure expose its two seams
+// separately so a scheduler can wrap each in its own circuit breaker
+// and attribute failures to the seam that caused them. Fault injection,
+// when configured, is already inside both seams.
 type LayoutRunner struct {
 	cfg   CampaignConfig
 	co    *campaignObs
 	trace *interp.Trace
-	build buildSeam
-	gb    genomeSeam
-	meas  []measureSeam
-
-	// slots lazily holds one batched-replay engine per worker slot for
-	// MeasureBatch; nil entries mean the slot has not batched yet.
+	// builder is the one compile behind both build seams.
+	builder *toolchain.Builder
+	build   buildSeam
+	gb      genomeSeam
+	meas    []measureSeam
+	// slots holds each worker slot's batched-replay state; the slot's
+	// det cache backs the slot's harness.
 	slots []*batchSlot
-	// harnesses are the bare per-slot harnesses behind meas, kept so
-	// MeasureBatch can wire each harness's Det source on first use.
-	harnesses []*pmc.Harness
 
-	// attKey is the builder cache key observations are attested
-	// against; see AttestationKey.
-	attKey string
+	attOnce sync.Once
+	attKey  string
 }
 
 // NewLayoutRunner validates the config, interprets the trace and
@@ -58,25 +56,57 @@ func NewLayoutRunner(cfg CampaignConfig, workers int) (*LayoutRunner, error) {
 	if cfg.Budget == 0 && cfg.Limiter.StopCount == 0 {
 		return nil, errors.New("core: campaign needs a budget or limiter")
 	}
-	if workers <= 0 {
-		workers = 1
-	}
 	trace, err := interp.Run(cfg.Program, cfg.InputSeed, cfg.stopRule())
 	if err != nil {
 		return nil, fmt.Errorf("core: trace generation failed: %w", err)
 	}
-	build, gb, meas, harnesses := newSeams(&cfg, workers)
-	return &LayoutRunner{
-		cfg:       cfg,
-		co:        newCampaignObs(&cfg),
-		trace:     trace,
-		build:     build,
-		gb:        gb,
-		meas:      meas,
-		slots:     make([]*batchSlot, workers),
-		harnesses: harnesses,
-		attKey:    toolchain.NewBuilder(cfg.Program, cfg.Compile, cfg.Link).CacheKey(),
-	}, nil
+	return newRunner(cfg, trace, workers), nil
+}
+
+// newRunner prepares the runner's seams over an interpreted trace: one
+// compile shared by every unit and worker (only Reorder+Link depend on
+// the unit) and one counter harness per worker slot, both wrapped by the
+// fault injector when one is configured. Each harness reads its slot's
+// det cache through the pmc.DetSource seam. The genome seam is the same
+// builder (cached when a layout cache is configured); Unit.builder
+// fault-wraps it per call.
+func newRunner(cfg CampaignConfig, trace *interp.Trace, workers int) *LayoutRunner {
+	if workers <= 0 {
+		workers = 1
+	}
+	r := &LayoutRunner{cfg: cfg, trace: trace}
+	c := &r.cfg
+	r.co = newCampaignObs(c)
+	r.builder = toolchain.NewBuilder(c.Program, c.Compile, c.Link)
+	r.builder.Observe(builderMetrics(c.Obs))
+	r.build, r.gb = r.builder, r.builder
+	if c.LayoutCache != nil {
+		cb := toolchain.NewCachedBuilder(r.builder, c.LayoutCache)
+		r.build, r.gb = cb, cb
+	}
+	if c.Faults != nil {
+		c.Faults.Observe(c.Obs)
+		r.build = c.Faults.WrapBuilder(r.build)
+	}
+	mcfg := c.machineConfig()
+	hmetrics := harnessMetrics(c.Obs)
+	r.meas = make([]measureSeam, workers)
+	r.slots = make([]*batchSlot, workers)
+	for w := range r.meas {
+		r.slots[w] = &batchSlot{}
+		h := &pmc.Harness{
+			Machine:      machine.New(mcfg),
+			Fidelity:     c.Fidelity,
+			RunsPerGroup: c.RunsPerGroup,
+			Metrics:      hmetrics,
+			Det:          &r.slots[w].cache,
+		}
+		r.meas[w] = h
+		if c.Faults != nil {
+			r.meas[w] = c.Faults.WrapMeasurer(h)
+		}
+	}
+	return r
 }
 
 // Layouts returns the campaign's layout count.
@@ -90,132 +120,208 @@ func (r *LayoutRunner) Workers() int { return len(r.meas) }
 // from the same campaign config — coordinator and remote worker —
 // derive the same key, so fingerprints stamped on one side verify on
 // the other.
-func (r *LayoutRunner) AttestationKey() string { return r.attKey }
+func (r *LayoutRunner) AttestationKey() string {
+	r.attOnce.Do(func() { r.attKey = r.builder.CacheKey() })
+	return r.attKey
+}
 
-// BuildLayout runs one attempt through the build seam for layout i:
-// reorder+link plus the executable integrity check. Panics from the
-// seam (injected or real) propagate; callers run under Guard.
-func (r *LayoutRunner) BuildLayout(i int) (*toolchain.Executable, error) {
-	if err := r.checkIndex(i); err != nil {
-		return nil, err
+// Seed returns the layout seed an observation of u must carry: the
+// derived layout seed of an indexed layout, a genome's fingerprint.
+// Schedulers use it to check that a result streamed back from a remote
+// worker belongs to the unit it was leased for.
+func (r *LayoutRunner) Seed(u Unit) uint64 { return u.seed(&r.cfg) }
+
+// Build runs one attempt through u's build seam: reorder+link plus the
+// executable integrity check. A panic in the seam (injected or real)
+// comes back as an error wrapping a *PanicError.
+func (r *LayoutRunner) Build(u Unit) (*toolchain.Executable, error) {
+	return r.buildOn(0, u)
+}
+
+// Measure runs one attempt through the measure seam of worker slot w
+// (two concurrent calls must use distinct slots): the counter harness
+// plus the plausibility check. The heap and noise seeds are re-derived
+// from the unit, so any executable built for u measures identically
+// wherever and whenever it runs. A panic comes back as an error
+// wrapping a *PanicError.
+func (r *LayoutRunner) Measure(w int, u Unit, exe *toolchain.Executable) (Observation, error) {
+	if err := r.checkSlot(w); err != nil {
+		return Observation{}, err
+	}
+	return r.measureOn(w, u, exe)
+}
+
+// Failed is the observation recorded for a unit that exhausted its
+// attempts: the derived seeds with zero counters and StatusFailed.
+func (r *LayoutRunner) Failed(u Unit, attempts int) Observation {
+	return Observation{LayoutSeed: u.seed(&r.cfg), HeapSeed: u.heapSeed(&r.cfg), Status: StatusFailed, Attempts: attempts}
+}
+
+// Run drives units through the pipeline on worker slot w (two
+// concurrent calls must use distinct slots), phase by phase:
+//
+//	A. one build attempt per unit;
+//	B. when at least two units built and the fidelity and machine can
+//	   be batched, one batched trace walk over them (machine.Batch),
+//	   priming the slot's det cache so phase C synthesizes each
+//	   measurement from the shared walk. The walk is pinned
+//	   bit-identical to scalar replay; a failed walk leaves the cache
+//	   empty, counts as a batch-walk fallback, and phase C replays each
+//	   unit on the scalar machine;
+//	C. per unit, the measure, then on any failure up to attempts-1 full
+//	   build+measure retries spaced by the campaign's backoff.
+//
+// A recovered panic is one failed attempt, like any other fault.
+// deliver receives each unit's outcome in order: the observation with
+// its attempts and status stamped, or the unit's final error. attempts
+// below 1 means 1.
+func (r *LayoutRunner) Run(w int, units []Unit, attempts int, deliver func(j int, o Observation, err error)) {
+	if err := r.checkSlot(w); err != nil {
+		for j := range units {
+			deliver(j, Observation{}, err)
+		}
+		return
+	}
+	cfg := &r.cfg
+	s := r.slots[w]
+	s.cache.reset()
+	s.exes, s.errs, s.specs = s.exes[:0], s.errs[:0], s.specs[:0]
+	for _, u := range units {
+		exe, err := r.buildOn(w, u)
+		s.exes = append(s.exes, exe)
+		s.errs = append(s.errs, err)
+		if err == nil {
+			s.specs = append(s.specs, machine.RunSpec{Exe: exe, Trace: r.trace, HeapMode: cfg.HeapMode, HeapSeed: u.heapSeed(cfg)})
+		}
+	}
+	if n := len(s.specs); n >= 2 && n <= 64 && cfg.Fidelity != pmc.FidelityPaperNaive {
+		if s.engine(cfg.machineConfig(), max(n, cfg.batchSize(len(r.slots)))) == nil {
+			s.walk(r.co, w, units[0].key(cfg))
+		}
+	}
+	for j, u := range units {
+		st := r.co.layoutStart(u.spanID(cfg, r.co), w)
+		o, err := r.finish(w, u, s.exes[j], s.errs[j], attempts)
+		st.end()
+		deliver(j, o, err)
+	}
+}
+
+// finish completes unit u's attempts: attempt one built exe (or failed
+// with err); measure it, and retry build+measure while attempts remain.
+// Every attempt derives the same seeds, so a fault cleared by retrying
+// yields the exact observation an undisturbed run produces.
+func (r *LayoutRunner) finish(w int, u Unit, exe *toolchain.Executable, err error, attempts int) (Observation, error) {
+	cfg := &r.cfg
+	for a := 1; ; a++ {
+		if err == nil {
+			var o Observation
+			if o, err = r.measureOn(w, u, exe); err == nil {
+				o.Attempts = a
+				if a > 1 {
+					o.Status = StatusRetried
+				}
+				return o, nil
+			}
+		}
+		if a >= attempts {
+			return Observation{}, fmt.Errorf("core: %v failed after %d attempts: %w", u, a, err)
+		}
+		if r.co != nil {
+			r.co.o.Prog().Retry()
+		}
+		// Space the next attempt per the campaign's backoff policy (zero
+		// policy: no delay, no cancellation point). The jitter keys off
+		// the unit's seed, so a resumed or replayed campaign backs off by
+		// identical amounts.
+		if serr := cfg.Backoff.Sleep(cfg.context(), a, cfg.BaseSeed, u.seed(cfg)); serr != nil {
+			return Observation{}, fmt.Errorf("core: %v: retry backoff interrupted: %w", u, serr)
+		}
+		exe, err = r.buildOn(w, u)
+	}
+}
+
+// buildOn is one attempt through u's build seam on worker w's lane.
+func (r *LayoutRunner) buildOn(w int, u Unit) (*toolchain.Executable, error) {
+	cfg := &r.cfg
+	if u.genome == nil && (u.index < 0 || u.index >= cfg.Layouts) {
+		return nil, fmt.Errorf("core: layout index %d outside campaign [0,%d)", u.index, cfg.Layouts)
 	}
 	if r.co != nil {
 		r.co.attempts.Inc()
 	}
-	return buildLayout(&r.cfg, r.co, r.build, i, 0)
-}
-
-// MeasureLayout runs one attempt through the measure seam on worker
-// slot w (two concurrent calls must use distinct slots): the counter
-// harness plus the plausibility check.
-func (r *LayoutRunner) MeasureLayout(w, i int, exe *toolchain.Executable) (Observation, error) {
-	if err := r.checkIndex(i); err != nil {
-		return Observation{}, err
-	}
-	if w < 0 || w >= len(r.meas) {
-		return Observation{}, fmt.Errorf("core: worker slot %d outside [0,%d)", w, len(r.meas))
-	}
-	return measureBuilt(&r.cfg, r.co, r.meas[w], r.trace, exe, i, w)
-}
-
-// PrimeBatch walks the trace once for a group of built layouts on worker
-// slot w, priming the slot's harness so the following MeasureLayout
-// calls synthesize their measurements from the shared walk instead of
-// replaying per layout. Priming is a pure accelerator: the batched
-// replay is pinned bit-identical to the sequential one, and a declined
-// prime (unbatchable machine geometry, too many lanes, or a batch
-// failure) costs nothing — MeasureLayout simply replays sequentially.
-// A failed or panicking walk is counted as a batch-walk fallback; the
-// returned error is diagnostic only, and callers may ignore it.
-//
-// Like MeasureLayout, two concurrent calls must use distinct slots, and
-// the priming is consumed by the same slot's MeasureLayout.
-func (r *LayoutRunner) PrimeBatch(w int, layouts []int, exes []*toolchain.Executable) error {
-	if w < 0 || w >= len(r.meas) {
-		return fmt.Errorf("core: worker slot %d outside [0,%d)", w, len(r.meas))
-	}
-	if len(layouts) != len(exes) {
-		return fmt.Errorf("core: %d layouts with %d executables", len(layouts), len(exes))
-	}
-	if r.cfg.Fidelity == pmc.FidelityPaperNaive || len(layouts) < 2 || len(layouts) > 64 {
-		return nil
-	}
-	for _, i := range layouts {
-		if err := r.checkIndex(i); err != nil {
-			return err
-		}
-	}
-	slot, err := r.batchSlot(w, len(layouts))
+	st := r.co.stageStart("compile", u.spanID(cfg, r.co), tagCompile, w)
+	defer st.end()
+	var exe *toolchain.Executable
+	err := runGuarded(func(_, _ int) error {
+		var berr error
+		exe, berr = u.builder(r).Build(u.seed(cfg))
+		return berr
+	}, w, 0)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("core: %v: %w", u, err)
 	}
-	for j, i := range layouts {
-		hs := uint64(0)
-		if r.cfg.HeapMode == heap.ModeRandomized {
-			hs = r.cfg.heapSeed(i)
-		}
-		slot.specs = append(slot.specs, machine.RunSpec{
-			Exe:      exes[j],
-			Trace:    r.trace,
-			HeapMode: r.cfg.HeapMode,
-			HeapSeed: hs,
+	if err := toolchain.CheckExecutable(exe, u.layoutNumber(cfg)); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return exe, nil
+}
+
+// measureOn is one attempt through worker w's measure seam: the counter
+// harness run plus the plausibility check on its readings.
+func (r *LayoutRunner) measureOn(w int, u Unit, exe *toolchain.Executable) (Observation, error) {
+	cfg := &r.cfg
+	id := u.runID(cfg)
+	span := u.spanID(cfg, r.co)
+	st := r.co.stageStart("run", span, tagRun, w)
+	var m pmc.Measurement
+	err := runGuarded(func(_, _ int) error {
+		var merr error
+		m, merr = r.meas[w].Measure(machine.RunSpec{
+			Exe:       exe,
+			Trace:     r.trace,
+			HeapMode:  cfg.HeapMode,
+			HeapSeed:  id.HeapSeed,
+			NoiseSeed: id.NoiseSeed,
 		})
+		return merr
+	}, w, 0)
+	st.end()
+	if err != nil {
+		return Observation{}, fmt.Errorf("core: %v: %w", u, err)
 	}
-	return slot.walk(r.co)
+	st = r.co.stageStart("fit", span, tagFit, w)
+	err = m.Check(r.trace.Instrs, id)
+	st.end()
+	if err != nil {
+		return Observation{}, fmt.Errorf("core: %w", err)
+	}
+	return Observation{LayoutSeed: id.LayoutSeed, HeapSeed: id.HeapSeed, Measurement: m}, nil
 }
 
-// batchSlot returns worker slot w's batched-replay state with room for
-// lanes layouts, its det cache and spec scratch emptied. A slot too
-// narrow for the group is replaced, and the new cache wired into the
-// slot's harness.
-func (r *LayoutRunner) batchSlot(w, lanes int) (*batchSlot, error) {
-	slot := r.slots[w]
-	if slot == nil || slot.batch.MaxLanes() < lanes {
-		b, err := machine.NewBatch(r.cfg.machineConfig(), lanes)
-		if err != nil {
-			return nil, err
-		}
-		slot = &batchSlot{batch: b, cache: &detCache{}}
-		r.slots[w] = slot
-		r.harnesses[w].Det = slot.cache
-	}
-	slot.cache.reset()
-	slot.specs = slot.specs[:0]
-	return slot, nil
-}
-
-func (r *LayoutRunner) checkIndex(i int) error {
-	if i < 0 || i >= r.cfg.Layouts {
-		return fmt.Errorf("core: layout index %d outside campaign [0,%d)", i, r.cfg.Layouts)
+func (r *LayoutRunner) checkSlot(w int) error {
+	if w < 0 || w >= len(r.slots) {
+		return fmt.Errorf("core: worker slot %d outside [0,%d)", w, len(r.slots))
 	}
 	return nil
 }
 
-// LayoutSeed returns the seed the campaign derives for layout i.
-// Schedulers use it to validate that a result streamed back from a
-// remote worker belongs to the layout it was leased for.
-func (r *LayoutRunner) LayoutSeed(i int) uint64 { return r.cfg.layoutSeed(i) }
+// release returns every slot's batch engine to the pool.
+func (r *LayoutRunner) release() {
+	for _, s := range r.slots {
+		s.release()
+	}
+}
 
 // CompletedObservation stamps retry provenance onto a successful
-// observation the way the in-process supervisor does: Attempts is the
-// number of executions the layout took, and any retry marks the status.
-// Schedulers track attempts themselves, so the stamp is explicit here
-// rather than buried in a retry loop they don't use.
+// observation the way Run does: Attempts is the number of executions
+// the unit took, and any retry marks the status. Schedulers that retry
+// through their own queue track attempts themselves, so the stamp is
+// explicit here.
 func CompletedObservation(o Observation, attempts int) Observation {
 	o.Attempts = attempts
 	if attempts > 1 {
 		o.Status = StatusRetried
-	}
-	return o
-}
-
-// FailedObservation is the observation recorded for a layout that
-// exhausted its attempts: the derived seeds with zero counters and
-// StatusFailed, exactly what the in-process supervisor records.
-func (r *LayoutRunner) FailedObservation(i, attempts int) Observation {
-	o := Observation{LayoutSeed: r.cfg.layoutSeed(i), Status: StatusFailed, Attempts: attempts}
-	if r.cfg.HeapMode == heap.ModeRandomized {
-		o.HeapSeed = r.cfg.heapSeed(i)
 	}
 	return o
 }
@@ -237,13 +343,6 @@ func (r *LayoutRunner) Dataset(observations []Observation, failures []LayoutFail
 	ds.Failures = append([]LayoutFailure(nil), failures...)
 	sort.Slice(ds.Failures, func(a, b int) bool { return ds.Failures[a].Index < ds.Failures[b].Index })
 	return ds, nil
-}
-
-// Guard runs fn, converting a panic into a *PanicError — the same
-// conversion the in-process supervisor applies, so an injected panic in
-// a seam is one more retriable task failure instead of a dead process.
-func Guard(fn func() error) error {
-	return runGuarded(func(int, int) error { return fn() }, 0, 0)
 }
 
 // CheckpointSink exposes the campaign checkpoint machinery to external

@@ -30,11 +30,11 @@ func TestLayoutRunnerMatchesRunCampaign(t *testing.T) {
 	}
 	obs := make([]core.Observation, 8)
 	for n, i := range []int{5, 0, 7, 2, 1, 6, 3, 4} {
-		exe, err := r.BuildLayout(i)
+		exe, err := r.Build(core.LayoutUnit(i))
 		if err != nil {
 			t.Fatalf("build %d: %v", i, err)
 		}
-		o, err := r.MeasureLayout(n%3, i, exe)
+		o, err := r.Measure(n%3, core.LayoutUnit(i), exe)
 		if err != nil {
 			t.Fatalf("measure %d: %v", i, err)
 		}
@@ -55,6 +55,22 @@ func TestLayoutRunnerMatchesRunCampaign(t *testing.T) {
 	if ds.Trace.Instrs != want.Trace.Instrs {
 		t.Error("trace differs between runner and campaign")
 	}
+
+	// The chunk driver over a shuffled chunk yields the same
+	// observations, attempts stamped, in the chunk's order.
+	order := []int{3, 6, 0, 5}
+	units := make([]core.Unit, len(order))
+	for j, i := range order {
+		units[j] = core.LayoutUnit(i)
+	}
+	r.Run(1, units, 1, func(j int, o core.Observation, err error) {
+		if err != nil {
+			t.Fatalf("run layout %d: %v", order[j], err)
+		}
+		if o != want.Obs[order[j]] {
+			t.Fatalf("chunk observation of layout %d differs: %+v vs %+v", order[j], o, want.Obs[order[j]])
+		}
+	})
 }
 
 // TestLayoutRunnerRepeatedExecutionIdentical re-runs the same layout:
@@ -66,11 +82,11 @@ func TestLayoutRunnerRepeatedExecutionIdentical(t *testing.T) {
 	}
 	var prev core.Observation
 	for n := 0; n < 3; n++ {
-		exe, err := r.BuildLayout(1)
+		exe, err := r.Build(core.LayoutUnit(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := r.MeasureLayout(n%2, 1, exe)
+		o, err := r.Measure(n%2, core.LayoutUnit(1), exe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,15 +105,20 @@ func TestLayoutRunnerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.BuildLayout(2); err == nil {
-		t.Error("out-of-range layout accepted by BuildLayout")
+	if _, err := r.Build(core.LayoutUnit(2)); err == nil {
+		t.Error("out-of-range layout accepted by Build")
 	}
-	if _, err := r.MeasureLayout(1, 0, nil); err == nil {
-		t.Error("out-of-range worker slot accepted by MeasureLayout")
+	if _, err := r.Measure(1, core.LayoutUnit(0), nil); err == nil {
+		t.Error("out-of-range worker slot accepted by Measure")
 	}
-	fo := r.FailedObservation(1, 3)
-	if fo.Status != core.StatusFailed || fo.Attempts != 3 || fo.LayoutSeed == 0 || fo.Cycles != 0 {
-		t.Errorf("FailedObservation = %+v", fo)
+	r.Run(1, []core.Unit{core.LayoutUnit(0)}, 1, func(_ int, _ core.Observation, err error) {
+		if err == nil {
+			t.Error("out-of-range worker slot accepted by Run")
+		}
+	})
+	fo := r.Failed(core.LayoutUnit(1), 3)
+	if fo.Status != core.StatusFailed || fo.Attempts != 3 || fo.LayoutSeed != r.Seed(core.LayoutUnit(1)) || fo.Cycles != 0 {
+		t.Errorf("Failed = %+v", fo)
 	}
 	if _, err := r.Dataset(make([]core.Observation, 1), nil); err == nil {
 		t.Error("short observation slice accepted by Dataset")
@@ -105,8 +126,8 @@ func TestLayoutRunnerValidation(t *testing.T) {
 }
 
 // TestLayoutRunnerSeamsCarryFaults: the runner's seams include the
-// configured injector, and Guard converts an injected panic into a
-// retriable error exactly like the in-process supervisor.
+// configured injector, and an injected panic comes back as a retriable
+// error carrying the recovered *PanicError.
 func TestLayoutRunnerSeamsCarryFaults(t *testing.T) {
 	cfg := smallCampaign(2)
 	cfg.Faults = faultinject.New(11, faultinject.Config{
@@ -116,21 +137,14 @@ func TestLayoutRunnerSeamsCarryFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var exeErr error
-	err = core.Guard(func() error {
-		_, exeErr = r.BuildLayout(0)
-		return exeErr
-	})
+	_, err = r.Build(core.LayoutUnit(0))
 	var pe *core.PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("guarded injected panic returned %v, want *PanicError", err)
+		t.Fatalf("injected build panic returned %v, want *PanicError", err)
 	}
 	// MaxFaults exhausted: the retry goes clean.
-	if _, err := r.BuildLayout(0); err != nil {
+	if _, err := r.Build(core.LayoutUnit(0)); err != nil {
 		t.Fatalf("retry after injected panic: %v", err)
-	}
-	if err := core.Guard(func() error { return nil }); err != nil {
-		t.Fatalf("Guard(nil func) = %v", err)
 	}
 }
 

@@ -56,6 +56,16 @@ func screenFixture(t *testing.T, layouts int) (CampaignConfig, *Dataset) {
 	return cfg, ds
 }
 
+// screenRunner is a one-slot runner over the fixture's trace for cfg,
+// measuring through meas when it is non-nil.
+func screenRunner(cfg CampaignConfig, ds *Dataset, meas measureSeam) *LayoutRunner {
+	r := newRunner(cfg, ds.Trace, 1)
+	if meas != nil {
+		r.meas[0] = meas
+	}
+	return r
+}
+
 // TestScreenDegradesUnrepairableCorruption: an invalid measurement whose
 // re-measurement is also invalid must leave the screen as StatusFailed
 // with a recorded failure — never as data, and never as a NaN panic in
@@ -65,8 +75,7 @@ func TestScreenDegradesUnrepairableCorruption(t *testing.T) {
 	const victim = 3
 	ds.Obs[victim].Measurement = pmc.Measurement{Cycles: 999}
 
-	build, _, _, _ := newSeams(&cfg, 1)
-	screenOutliers(&cfg, nil, ds, []measureSeam{corruptSeam{}}, build, ds.Trace, nil)
+	screenOutliers(screenRunner(cfg, ds, corruptSeam{}), ds, nil)
 
 	got := ds.Obs[victim]
 	if got.Status != StatusFailed {
@@ -98,8 +107,7 @@ func TestScreenRepairsCorruptionByRemeasuring(t *testing.T) {
 	want := ds.Obs[victim].Measurement
 	ds.Obs[victim].Measurement = pmc.Measurement{Cycles: 999}
 
-	build, _, measurers, _ := newSeams(&cfg, 1)
-	screenOutliers(&cfg, nil, ds, measurers, build, ds.Trace, nil)
+	screenOutliers(screenRunner(cfg, ds, nil), ds, nil)
 
 	got := ds.Obs[victim]
 	if got.Status != StatusRetried {
@@ -120,8 +128,7 @@ func TestScreenKeepsValidObservations(t *testing.T) {
 	cfg, ds := screenFixture(t, 8)
 	before := append([]Observation(nil), ds.Obs...)
 
-	build, _, _, _ := newSeams(&cfg, 1)
-	screenOutliers(&cfg, nil, ds, []measureSeam{corruptSeam{}}, build, ds.Trace, nil)
+	screenOutliers(screenRunner(cfg, ds, corruptSeam{}), ds, nil)
 
 	for i := range ds.Obs {
 		if ds.Obs[i] != before[i] {
@@ -142,8 +149,7 @@ func TestScreenMedianExcludesInvalid(t *testing.T) {
 	const victim = 0
 	ds.Obs[victim].Measurement = pmc.Measurement{Cycles: math.MaxUint64}
 
-	build, _, measurers, _ := newSeams(&cfg, 1)
-	screenOutliers(&cfg, nil, ds, measurers, build, ds.Trace, nil)
+	screenOutliers(screenRunner(cfg, ds, nil), ds, nil)
 
 	retried := 0
 	for i := range ds.Obs {
@@ -175,8 +181,7 @@ func TestScreenSurfacesPanics(t *testing.T) {
 	const victim = 2
 	ds.Obs[victim].Measurement = pmc.Measurement{Cycles: 999}
 
-	build, _, _, _ := newSeams(&cfg, 1)
-	if err := screenOutliers(&cfg, nil, ds, []measureSeam{panicSeam{}}, build, ds.Trace, nil); err != nil {
+	if err := screenOutliers(screenRunner(cfg, ds, panicSeam{}), ds, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := ds.Obs[victim].Status; got != StatusFailed {
@@ -195,8 +200,7 @@ func TestScreenDisabledWithoutMAD(t *testing.T) {
 	ds.Obs[4].Measurement = pmc.Measurement{Cycles: 999}
 	before := append([]Observation(nil), ds.Obs...)
 
-	build, _, measurers, _ := newSeams(&cfg, 1)
-	if err := screenOutliers(&cfg, nil, ds, measurers, build, ds.Trace, nil); err != nil {
+	if err := screenOutliers(screenRunner(cfg, ds, nil), ds, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ds.Obs {
@@ -218,18 +222,18 @@ func (c countingSeam) Measure(spec machine.RunSpec) (pmc.Measurement, error) {
 }
 
 // TestScreenPoolFollowsMeasurers: the re-measurement pool is sized by
-// the measurers it is handed, not by cfg.Workers. A single measurer
+// the runner's measurer slots, not by cfg.Workers. A one-slot runner
 // under a four-worker config must still re-measure every flagged
-// layout; a pool sized from cfg.Workers would index measurers[1..3]
+// layout; a pool sized from cfg.Workers would index slots 1..3
 // and lose those layouts to recovered panics.
 func TestScreenPoolFollowsMeasurers(t *testing.T) {
 	remeasured := func(workers int) int64 {
 		cfg, ds := screenFixture(t, 8)
 		cfg.Workers = workers
-		build, _, measurers, _ := newSeams(&cfg, 1)
+		r := screenRunner(cfg, ds, nil)
 		var calls atomic.Int64
-		seam := countingSeam{inner: measurers[0], calls: &calls}
-		if err := screenOutliers(&cfg, nil, ds, []measureSeam{seam}, build, ds.Trace, nil); err != nil {
+		r.meas[0] = countingSeam{inner: r.meas[0], calls: &calls}
+		if err := screenOutliers(r, ds, nil); err != nil {
 			t.Fatal(err)
 		}
 		if len(ds.Failures) != 0 {
@@ -269,9 +273,9 @@ func TestScreenCancellation(t *testing.T) {
 		defer cancel()
 		cfg.Context = ctx
 		ds.Obs[6].Measurement = pmc.Measurement{Cycles: 999}
-		build, _, measurers, _ := newSeams(&cfg, 1)
-		seam := cancelSeam{inner: measurers[0], cancel: cancel}
-		return ds, screenOutliers(&cfg, nil, ds, []measureSeam{seam}, build, ds.Trace, nil)
+		r := screenRunner(cfg, ds, nil)
+		r.meas[0] = cancelSeam{inner: r.meas[0], cancel: cancel}
+		return ds, screenOutliers(r, ds, nil)
 	}
 	// A huge threshold flags only the corrupt layout, so the one read
 	// that cancels is also the last one.

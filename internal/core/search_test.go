@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"interferometry/internal/faultinject"
 	"interferometry/internal/pmc"
 	"interferometry/internal/progen"
 	"interferometry/internal/stats"
@@ -109,6 +110,49 @@ func TestSearchTrajectoryDeterminism(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%s: trajectory diverged from 1-worker-batched", tc.name)
+		}
+	}
+}
+
+// TestSearchWithFaultsIdentical pins the search's fault behaviour: under
+// a deterministic storm of build errors, panics and corrupt executables
+// and of measurement errors and panics, every worker count and batch
+// width walks the clean search's trajectory byte for byte. Each genome
+// can fault at most twice per site, so MaxAttempts 5 always converges,
+// and a recovered panic is one failed attempt like any other fault.
+func TestSearchWithFaultsIdentical(t *testing.T) {
+	clean, err := RunSearch(searchTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := trajectoryOf(t, clean)
+	seeds := []uint64{3, 17, 29, 101}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, seed := range seeds {
+		for _, workers := range []int{1, 2} {
+			for _, batch := range []int{0, 1} {
+				cfg := searchTestConfig()
+				cfg.Campaign.Workers = workers
+				cfg.Campaign.BatchSize = batch
+				cfg.Campaign.MaxAttempts = 5
+				inj := faultinject.New(seed, faultinject.Config{
+					Build:   faultinject.Rates{Error: 0.15, Panic: 0.1, Corrupt: 0.1, MaxFaults: 2},
+					Measure: faultinject.Rates{Error: 0.15, Panic: 0.1, MaxFaults: 2},
+				})
+				cfg.Campaign.Faults = inj
+				res, err := RunSearch(cfg)
+				if err != nil {
+					t.Fatalf("seed %d, %d workers, batch %d: %v", seed, workers, batch, err)
+				}
+				if inj.Injected() == 0 {
+					t.Fatalf("seed %d: injector fired no faults", seed)
+				}
+				if got := trajectoryOf(t, res); got != want {
+					t.Errorf("seed %d, %d workers, batch %d: trajectory diverged from the clean search", seed, workers, batch)
+				}
+			}
 		}
 	}
 }

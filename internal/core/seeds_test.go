@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"interferometry/internal/heap"
 )
 
 // TestSeedStreamsDisjoint pins the fix for the seed-derivation footgun:
@@ -14,16 +16,17 @@ import (
 func TestSeedStreamsDisjoint(t *testing.T) {
 	const indices = 10000
 	for _, base := range []uint64{0, 1, 7, 0x1f2e3d4c, ^uint64(0)} {
-		cfg := &CampaignConfig{BaseSeed: base}
+		cfg := &CampaignConfig{BaseSeed: base, HeapMode: heap.ModeRandomized}
 		seen := make(map[uint64]string, 3*indices)
 		for i := 0; i < indices; i++ {
+			id := LayoutUnit(i).runID(cfg)
 			for _, s := range []struct {
 				name string
 				seed uint64
 			}{
-				{"layout", cfg.layoutSeed(i)},
-				{"heap", cfg.heapSeed(i)},
-				{"noise", cfg.noiseSeed(i)},
+				{"layout", id.LayoutSeed},
+				{"heap", id.HeapSeed},
+				{"noise", id.NoiseSeed},
 			} {
 				if s.name != "layout" && s.seed == 0 {
 					t.Fatalf("base %#x: %s seed 0 at index %d — zero must never reach the randomizer", base, s.name, i)
@@ -41,17 +44,11 @@ func TestSeedStreamsDisjoint(t *testing.T) {
 // TestSeedStreamsExtendConsistent pins the property Extend depends on:
 // offsetting FirstLayout shifts the streams, it does not reseed them.
 func TestSeedStreamsExtendConsistent(t *testing.T) {
-	a := &CampaignConfig{BaseSeed: 99}
-	b := &CampaignConfig{BaseSeed: 99, FirstLayout: 40}
+	a := &CampaignConfig{BaseSeed: 99, HeapMode: heap.ModeRandomized}
+	b := &CampaignConfig{BaseSeed: 99, HeapMode: heap.ModeRandomized, FirstLayout: 40}
 	for i := 0; i < 100; i++ {
-		if a.layoutSeed(40+i) != b.layoutSeed(i) {
-			t.Fatalf("layout stream breaks at offset %d", i)
-		}
-		if a.heapSeed(40+i) != b.heapSeed(i) {
-			t.Fatalf("heap stream breaks at offset %d", i)
-		}
-		if a.noiseSeed(40+i) != b.noiseSeed(i) {
-			t.Fatalf("noise stream breaks at offset %d", i)
+		if x, y := LayoutUnit(40+i).runID(a), LayoutUnit(i).runID(b); x != y {
+			t.Fatalf("streams break at offset %d: %+v vs %+v", i, x, y)
 		}
 	}
 }

@@ -17,51 +17,66 @@ import (
 // measurement faults — at a rate the retry budget can absorb — completes
 // without error, and every retried observation is bit-identical to the
 // clean run's, because retries re-derive the same seeds through the same
-// deterministic pipeline.
+// deterministic pipeline. A recovered panic is one failed attempt like
+// any other fault, so the panicking row converges to the clean run too.
 func TestCampaignRetriesClearInjectedFaults(t *testing.T) {
 	clean, err := core.RunCampaign(smallCampaign(100))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cfg := smallCampaign(100)
-	// Worst case per layout: a build fault on attempt 1, a measurement
-	// fault on attempt 2, success on attempt 3 (MaxFaults bounds each
-	// site's faults per layout at one).
-	cfg.MaxAttempts = 3
-	inj := faultinject.New(42, faultinject.Config{
-		Build:   faultinject.Rates{Error: 0.15, Corrupt: 0.1},
-		Measure: faultinject.Rates{Error: 0.15},
-	})
-	cfg.Faults = inj
-	ds, err := core.RunCampaign(cfg)
-	if err != nil {
-		t.Fatalf("campaign did not absorb injected faults: %v", err)
-	}
-	if inj.Injected() == 0 {
-		t.Fatal("injector fired no faults — the test exercised nothing")
-	}
-	if len(ds.Failures) != 0 || ds.EffectiveN() != 100 {
-		t.Fatalf("faults within the retry budget degraded the dataset: %d failures, effective %d",
-			len(ds.Failures), ds.EffectiveN())
-	}
-	retried := 0
-	for i := range ds.Obs {
-		if ds.Obs[i].Measurement != clean.Obs[i].Measurement {
-			t.Fatalf("layout %d: retried measurement differs from clean run", i)
-		}
-		if ds.Obs[i].LayoutSeed != clean.Obs[i].LayoutSeed || ds.Obs[i].HeapSeed != clean.Obs[i].HeapSeed {
-			t.Fatalf("layout %d: seeds differ from clean run", i)
-		}
-		if ds.Obs[i].Status == core.StatusRetried {
-			retried++
-			if ds.Obs[i].Attempts < 2 {
-				t.Errorf("layout %d marked retried after %d attempts", i, ds.Obs[i].Attempts)
+	for _, tc := range []struct {
+		name           string
+		build, measure faultinject.Rates
+	}{
+		{
+			name:    "errors",
+			build:   faultinject.Rates{Error: 0.15, Corrupt: 0.1},
+			measure: faultinject.Rates{Error: 0.15},
+		},
+		{
+			name:    "errors+panics",
+			build:   faultinject.Rates{Error: 0.15, Panic: 0.05, Corrupt: 0.1},
+			measure: faultinject.Rates{Error: 0.15, Panic: 0.05},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallCampaign(100)
+			// Worst case per layout: a build fault on attempt 1, a
+			// measurement fault on attempt 2, success on attempt 3
+			// (MaxFaults bounds each site's faults per layout at one).
+			cfg.MaxAttempts = 3
+			inj := faultinject.New(42, faultinject.Config{Build: tc.build, Measure: tc.measure})
+			cfg.Faults = inj
+			ds, err := core.RunCampaign(cfg)
+			if err != nil {
+				t.Fatalf("campaign did not absorb injected faults: %v", err)
 			}
-		}
-	}
-	if retried == 0 {
-		t.Error("no observation was marked retried despite injected faults")
+			if inj.Injected() == 0 {
+				t.Fatal("injector fired no faults — the test exercised nothing")
+			}
+			if len(ds.Failures) != 0 || ds.EffectiveN() != 100 {
+				t.Fatalf("faults within the retry budget degraded the dataset: %d failures, effective %d",
+					len(ds.Failures), ds.EffectiveN())
+			}
+			retried := 0
+			for i := range ds.Obs {
+				if ds.Obs[i].Measurement != clean.Obs[i].Measurement {
+					t.Fatalf("layout %d: retried measurement differs from clean run", i)
+				}
+				if ds.Obs[i].LayoutSeed != clean.Obs[i].LayoutSeed || ds.Obs[i].HeapSeed != clean.Obs[i].HeapSeed {
+					t.Fatalf("layout %d: seeds differ from clean run", i)
+				}
+				if ds.Obs[i].Status == core.StatusRetried {
+					retried++
+					if ds.Obs[i].Attempts < 2 {
+						t.Errorf("layout %d marked retried after %d attempts", i, ds.Obs[i].Attempts)
+					}
+				}
+			}
+			if retried == 0 {
+				t.Error("no observation was marked retried despite injected faults")
+			}
+		})
 	}
 }
 
