@@ -280,6 +280,7 @@ func TestTrustProtocolMetricsGolden(t *testing.T) {
 			}
 			o = got
 		})
+		o.Attempts = 0 // the coordinator stamps attempts on accept
 		wire := o.Wire()
 		wire.Fingerprint = wire.Attest(runner.AttestationKey())
 		return wire

@@ -359,9 +359,18 @@ func (s *Server) audit(c *campaign, t task, got *core.ObsWire) (match bool, err 
 	if err != nil {
 		return false, err
 	}
-	want := o.Wire()
-	want.Fingerprint = want.Attest(c.runner.AttestationKey())
-	return auditEqual(*got, want), nil
+	return auditEqual(*got, reportWire(o, c.runner)), nil
+}
+
+// reportWire is the attested wire image of one worker execution, as a
+// worker reports it and an audit re-derives it. Attempts stays zero on
+// the wire: the coordinator owns retry policy and stamps the count on
+// accept (core.CompletedObservation).
+func reportWire(o core.Observation, runner *core.LayoutRunner) core.ObsWire {
+	o.Attempts = 0
+	wire := o.Wire()
+	wire.Fingerprint = wire.Attest(runner.AttestationKey())
+	return wire
 }
 
 // auditEqual compares two wire observations field by field, fingerprint

@@ -270,8 +270,7 @@ func (w *Worker) executeBatch(ctx context.Context, runners *workerRunners, slot 
 // stamp attests an observation against the runner's toolchain identity
 // and, in byzantine soaks, routes it through the configured liar.
 func (w *Worker) stamp(o core.Observation, runner *core.LayoutRunner) core.ObsWire {
-	wire := o.Wire()
-	wire.Fingerprint = wire.Attest(runner.AttestationKey())
+	wire := reportWire(o, runner)
 	if w.Tamper == nil {
 		return wire
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"interferometry/internal/interp"
 	"interferometry/internal/machine"
@@ -38,9 +37,8 @@ type LayoutRunner struct {
 	// slots holds each worker slot's batched-replay state; the slot's
 	// det cache backs the slot's harness.
 	slots []*batchSlot
-
-	attOnce sync.Once
-	attKey  string
+	// attKey is the builder's toolchain identity (AttestationKey).
+	attKey string
 }
 
 // NewLayoutRunner validates the config, interprets the trace and
@@ -79,6 +77,7 @@ func newRunner(cfg CampaignConfig, trace *interp.Trace, workers int) *LayoutRunn
 	r.co = newCampaignObs(c)
 	r.builder = toolchain.NewBuilder(c.Program, c.Compile, c.Link)
 	r.builder.Observe(builderMetrics(c.Obs))
+	r.attKey = r.builder.CacheKey()
 	r.build, r.gb = r.builder, r.builder
 	if c.LayoutCache != nil {
 		cb := toolchain.NewCachedBuilder(r.builder, c.LayoutCache)
@@ -120,10 +119,7 @@ func (r *LayoutRunner) Workers() int { return len(r.meas) }
 // from the same campaign config — coordinator and remote worker —
 // derive the same key, so fingerprints stamped on one side verify on
 // the other.
-func (r *LayoutRunner) AttestationKey() string {
-	r.attOnce.Do(func() { r.attKey = r.builder.CacheKey() })
-	return r.attKey
-}
+func (r *LayoutRunner) AttestationKey() string { return r.attKey }
 
 // Seed returns the layout seed an observation of u must carry: the
 // derived layout seed of an indexed layout, a genome's fingerprint.
@@ -195,7 +191,7 @@ func (r *LayoutRunner) Run(w int, units []Unit, attempts int, deliver func(j int
 		}
 	}
 	if n := len(s.specs); n >= 2 && n <= 64 && cfg.Fidelity != pmc.FidelityPaperNaive {
-		if s.engine(cfg.machineConfig(), max(n, cfg.batchSize(len(r.slots)))) == nil {
+		if s.engine(cfg.machineConfig(), n) == nil {
 			s.walk(r.co, w, units[0].key(cfg))
 		}
 	}
