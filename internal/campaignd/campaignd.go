@@ -215,6 +215,9 @@ type Server struct {
 	shed      *obs.Counter
 	writeErrs *obs.Counter
 	walErrs   *obs.Counter
+	// workloads shares each benchmark's program and trace across
+	// admissions.
+	workloads *workloads
 
 	// Trust & verification instruments (DESIGN.md §14).
 	attRejects *obs.Counter
@@ -290,6 +293,7 @@ func New(cfg Config) (*Server, error) {
 		condemned:  obsCounter(cfg.Obs, "campaignd_quarantine_condemned_total", "workers condemned to quarantine"),
 		refusals:   obsCounter(cfg.Obs, "campaignd_quarantine_lease_refusals_total", "lease requests refused because the worker is quarantined (403)"),
 		quarGauge:  obsGauge(cfg.Obs, "campaignd_quarantine_workers", "workers currently quarantined"),
+		workloads:  newWorkloads(cfg.Obs),
 		baseCtx:    ctx,
 		stop:       stop,
 		campaigns:  make(map[string]*campaign),
@@ -468,13 +472,14 @@ func (s *Server) admit(spec JobSpec, record bool) (Status, error) {
 		close(ch)
 	}()
 
-	// Build the campaign outside the lock: trace interpretation and the
-	// shared compile are real work. The admitting reservation keeps
-	// duplicates out, so this build is the only one for this ID. The +1
+	// Build the campaign outside the lock: the per-campaign compile is
+	// real work, and so is a workload's first trace interpretation. The
+	// admitting reservation keeps duplicates out, so this build is the
+	// only one for this ID. The +1
 	// reserves one runner slot (the last) for the coordinator's
 	// spot-audit re-executions, which must never contend with the local
 	// pool's slots.
-	c, pending, err := newCampaign(s.baseCtx, spec, s.cfg.scale(), s.cfg.workers()+1, s.cfg.CheckpointRoot, s.cfg.LayoutCache, s.cfg.Faults, s.now())
+	c, pending, err := newCampaign(s.baseCtx, spec, s.cfg.scale(), s.cfg.workers()+1, s.cfg.CheckpointRoot, s.workloads, s.cfg.LayoutCache, s.cfg.Faults, s.now())
 	if err != nil {
 		return Status{}, err
 	}
@@ -746,9 +751,9 @@ func (s *Server) worker(slot int) {
 // runTask executes one leased task — a layout or a search individual —
 // through the runner's build and measure seams, each behind its
 // breaker. Every exit path settles the lease: Complete when the task is
-// finished for good (success, permanent failure, dead campaign), Requeue
-// when it should run again (seam failure with attempts left, breaker
-// denial).
+// finished for good (success, permanent failure, dead or finished
+// campaign), Requeue when it should run again (seam failure with
+// attempts left, breaker denial).
 func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
 	t := lease.Payload()
 	c := t.camp
@@ -756,8 +761,11 @@ func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
 
 	// Deadline propagation: the campaign context (request deadline,
 	// drain, failure-budget abort) is checked before every stage; a dead
-	// campaign's tasks drain without executing.
-	if err := c.ctx.Err(); err != nil {
+	// campaign's tasks drain without executing, and so do a finished
+	// campaign's, whose runner is gone. A runner taken here stays valid
+	// for this execution even if the campaign finishes meanwhile.
+	runner := c.liveRunner()
+	if err := c.ctx.Err(); err != nil || runner == nil {
 		c.abort(context.Cause(c.ctx))
 		lease.Complete()
 		return
@@ -772,7 +780,7 @@ func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
 		return
 	}
 	start := s.now()
-	exe, err := c.runner.Build(u)
+	exe, err := runner.Build(u)
 	s.build.Record(s.now().Sub(start), err)
 	if err != nil {
 		s.taskFailed(lease, c, t, fmt.Errorf("build: %w", err))
@@ -791,7 +799,7 @@ func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
 		return
 	}
 	start = s.now()
-	o, err := c.runner.Measure(slot, u, exe)
+	o, err := runner.Measure(slot, u, exe)
 	s.measure.Record(s.now().Sub(start), err)
 	if err != nil {
 		s.taskFailed(lease, c, t, fmt.Errorf("measure: %w", err))
@@ -818,9 +826,15 @@ func (s *Server) deny(lease *jobqueue.Lease[task], b *jobqueue.Breaker) {
 }
 
 // taskFailed settles a failed execution: requeue with seeded backoff
-// while attempts remain, otherwise record the permanent failure.
+// while attempts remain, otherwise record the permanent failure. A
+// failure that lands after its campaign finished charges nothing and
+// just settles the lease.
 func (s *Server) taskFailed(lease *jobqueue.Lease[task], c *campaign, t task, err error) {
-	n := c.recordFailure(t.layout)
+	n, live := c.recordFailure(t.layout)
+	if !live {
+		lease.Complete()
+		return
+	}
 	if n < s.cfg.maxAttempts() {
 		key := uint64(t.layout)
 		if t.genome != nil {

@@ -137,12 +137,12 @@ func Soak(cfg SoakConfig) error {
 	byzProvenance := cfg.ByzantineWorkers > 0 && !cfg.Spec.IsSearch() &&
 		cfg.Rates.Error == 0 && cfg.Rates.Panic == 0 && cfg.Rates.Slow == 0 && cfg.Rates.Spike == 0
 	var ref, refReport, refProvenance bytes.Buffer
+	prog, err := benchmarkProgram(cfg.Spec.Benchmark)
+	if err != nil {
+		return err
+	}
 	if cfg.Spec.IsSearch() {
-		searchCfg, err := searchConfig(cfg.Spec, cfg.scale())
-		if err != nil {
-			return err
-		}
-		clean, err := core.RunSearch(searchCfg)
+		clean, err := core.RunSearch(searchConfig(cfg.Spec, cfg.scale(), prog))
 		if err != nil {
 			return fmt.Errorf("campaignd: clean reference search: %w", err)
 		}
@@ -155,11 +155,7 @@ func Soak(cfg SoakConfig) error {
 		fmt.Fprintf(out, "soak %s: search %d×%d, reference %d bytes, %d rounds\n",
 			cfg.Spec.Benchmark, clean.Config.Population, clean.Config.Generations, ref.Len(), cfg.rounds())
 	} else {
-		campCfg, err := campaignConfig(cfg.Spec, cfg.scale())
-		if err != nil {
-			return err
-		}
-		clean, err := core.RunCampaign(campCfg)
+		clean, err := core.RunCampaign(campaignConfig(cfg.Spec, cfg.scale(), prog))
 		if err != nil {
 			return fmt.Errorf("campaignd: clean reference run: %w", err)
 		}

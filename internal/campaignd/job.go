@@ -13,6 +13,7 @@ import (
 	"interferometry/internal/core"
 	"interferometry/internal/experiments"
 	"interferometry/internal/faultinject"
+	"interferometry/internal/isa"
 	"interferometry/internal/progen"
 	"interferometry/internal/toolchain"
 )
@@ -174,17 +175,10 @@ func (s JobSpec) effectiveBudget(scale experiments.Scale) uint64 {
 // submitted with no seed reproduces the CLI's standalone campaigns.
 const defaultBaseSeed = 0x1f2e3d4c
 
-// campaignConfig translates a spec into the core campaign config —
-// the single place service and soak harness agree on what a spec means.
-func campaignConfig(spec JobSpec, scale experiments.Scale) (core.CampaignConfig, error) {
-	ps, ok := progen.ByName(spec.Benchmark)
-	if !ok {
-		return core.CampaignConfig{}, fmt.Errorf("campaignd: unknown benchmark %q", spec.Benchmark)
-	}
-	prog, err := progen.Generate(ps)
-	if err != nil {
-		return core.CampaignConfig{}, err
-	}
+// campaignConfig translates a spec into the core campaign config over
+// the benchmark's program — the single place service, workers and soak
+// harness agree on what a spec means.
+func campaignConfig(spec JobSpec, scale experiments.Scale, prog *isa.Program) core.CampaignConfig {
 	return core.CampaignConfig{
 		Program:   prog,
 		InputSeed: 1,
@@ -192,20 +186,16 @@ func campaignConfig(spec JobSpec, scale experiments.Scale) (core.CampaignConfig,
 		Layouts:   spec.effectiveLayouts(scale),
 		Fidelity:  scale.Fidelity,
 		BaseSeed:  spec.effectiveSeed(),
-	}, nil
+	}
 }
 
 // searchConfig translates a search spec into the core search config —
 // the single definition the service, the remote workers and the soak
 // harness share of what a search spec means.
-func searchConfig(spec JobSpec, scale experiments.Scale) (core.SearchConfig, error) {
-	campaign, err := campaignConfig(spec, scale)
-	if err != nil {
-		return core.SearchConfig{}, err
-	}
+func searchConfig(spec JobSpec, scale experiments.Scale, prog *isa.Program) core.SearchConfig {
 	cfg := spec.searchShape()
-	cfg.Campaign = campaign
-	return cfg, nil
+	cfg.Campaign = campaignConfig(spec, scale, prog)
+	return cfg
 }
 
 // Campaign states.
@@ -217,10 +207,17 @@ const (
 )
 
 // campaign is one admitted job and its accumulating results.
+//
+// A campaign that reaches a terminal state (done, failed or
+// interrupted) releases everything but what its read endpoints serve:
+// the status counters, the spec, the served dataset and, for a search,
+// the settled generations and result. The runner and its per-slot
+// machines, the search engine and the working maps go, so a
+// long-running service holds kilobytes, not megabytes, per finished
+// campaign (DESIGN.md §9).
 type campaign struct {
 	id        string
 	spec      JobSpec
-	runner    *core.LayoutRunner
 	sink      *core.CheckpointSink
 	ctx       context.Context
 	cancel    context.CancelCauseFunc
@@ -239,8 +236,13 @@ type campaign struct {
 	// c.mu like the layout state below.
 	search *searchRun
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// runner is the campaign's pipeline; nil once the campaign is
+	// terminal. Every task takes it under mu, and a task that finds it
+	// gone settles like one of a dead campaign.
+	runner    *core.LayoutRunner
 	state     string
+	layouts   int // layouts, or a search's population
 	obs       []core.Observation
 	done      map[int]bool
 	attempts  map[int]int // failed executions per layout (or per individual of the in-flight generation)
@@ -254,15 +256,16 @@ type campaign struct {
 	finished  chan struct{}
 }
 
-// newCampaign admits a spec: derives the campaign config, prepares the
-// runner's shared state, and opens (or resumes) the checkpoint. The
-// returned pending slice lists the layout indices still to measure.
-func newCampaign(parent context.Context, spec JobSpec, scale experiments.Scale, workers int, checkpointRoot string, cache toolchain.LayoutCache, faults *faultinject.Injector, now time.Time) (*campaign, []int, error) {
+// newCampaign admits a spec: derives the campaign config over the
+// shared workload, prepares the runner's per-campaign state, and opens
+// (or resumes) the checkpoint. The returned pending slice lists the
+// layout indices still to measure.
+func newCampaign(parent context.Context, spec JobSpec, scale experiments.Scale, workers int, checkpointRoot string, wl *workloads, cache toolchain.LayoutCache, faults *faultinject.Injector, now time.Time) (*campaign, []int, error) {
 	if spec.IsSearch() {
-		c, err := newSearchCampaign(parent, spec, scale, workers, checkpointRoot, cache, faults, now)
+		c, err := newSearchCampaign(parent, spec, scale, workers, checkpointRoot, wl, cache, faults, now)
 		return c, nil, err
 	}
-	cfg, err := campaignConfig(spec, scale)
+	cfg, trace, err := wl.campaign(spec, scale)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -291,7 +294,7 @@ func newCampaign(parent context.Context, spec JobSpec, scale experiments.Scale, 
 	if spec.DeadlineMS > 0 {
 		ctx, stopTimer = context.WithDeadline(ctx, now.Add(time.Duration(spec.DeadlineMS)*time.Millisecond))
 	}
-	runner, err := core.NewLayoutRunner(cfg, workers)
+	runner, err := core.NewLayoutRunnerOn(cfg, trace, workers)
 	if err != nil {
 		cancel(err)
 		stopTimer()
@@ -308,6 +311,7 @@ func newCampaign(parent context.Context, spec JobSpec, scale experiments.Scale, 
 		stopTimer: stopTimer,
 		created:   now,
 		state:     StateRunning,
+		layouts:   cfg.Layouts,
 		obs:       make([]core.Observation, cfg.Layouts),
 		done:      make(map[int]bool, cfg.Layouts),
 		attempts:  make(map[int]int),
@@ -332,6 +336,14 @@ func newCampaign(parent context.Context, spec JobSpec, scale experiments.Scale, 
 		c.mu.Unlock()
 	}
 	return c, pending, nil
+}
+
+// liveRunner returns the campaign's runner, or nil once the campaign is
+// terminal and has released it.
+func (c *campaign) liveRunner() *core.LayoutRunner {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.runner
 }
 
 // complete records one successful observation. Idempotent: duplicate
@@ -370,13 +382,17 @@ func (c *campaign) completeTask(t task, o core.Observation) {
 }
 
 // recordFailure counts one failed execution of layout i and reports the
-// total so far. Breaker denials never reach here: they requeue without
-// executing, so they cost no attempt.
-func (c *campaign) recordFailure(i int) int {
+// total so far. A terminal campaign charges nothing and reports
+// live == false: its late tasks just settle. Breaker denials never
+// reach here: they requeue without executing, so they cost no attempt.
+func (c *campaign) recordFailure(i int) (n int, live bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.state != StateRunning {
+		return 0, false
+	}
 	c.attempts[i]++
-	return c.attempts[i]
+	return c.attempts[i], true
 }
 
 func (c *campaign) attemptsOf(i int) int {
@@ -453,7 +469,9 @@ func (c *campaign) finalizeLocked() {
 		c.failLocked(err)
 		return
 	}
-	c.ds = ds
+	// The served dataset is the only part the CSV endpoints read; the
+	// config and trace would pin the program.
+	c.ds = &core.Dataset{Benchmark: ds.Benchmark, Obs: ds.Obs, Failures: ds.Failures}
 	c.state = StateDone
 	// closeLocked can degrade done to failed on a checkpoint flush
 	// error, so the journal records the state that survives it.
@@ -463,19 +481,27 @@ func (c *campaign) finalizeLocked() {
 	}
 }
 
-// closeLocked flushes the checkpoint, cancels the task context and
-// releases waiters. Sink write errors degrade a done campaign to failed
-// — a checkpoint that lies is worse than none.
+// closeLocked flushes the checkpoint, cancels the task context,
+// releases the working state and wakes waiters. Sink write errors
+// degrade a done campaign to failed — a checkpoint that lies is worse
+// than none. The runner is dropped, never recycled: a duplicate
+// execution may still be measuring on one of its slots.
 func (c *campaign) closeLocked() {
 	if c.sink != nil {
 		if err := c.sink.Close(); err != nil && c.state == StateDone {
 			c.state = StateFailed
 			c.err = fmt.Errorf("campaignd: checkpoint flush: %w", err)
+			c.ds = nil
 		}
 		c.sink = nil
 	}
 	c.cancel(c.err)
 	c.stopTimer()
+	c.runner = nil
+	c.obs, c.done, c.attempts, c.failures = nil, nil, nil, nil
+	if c.search != nil {
+		c.search.release()
+	}
 	close(c.finished)
 }
 
@@ -488,7 +514,7 @@ func (c *campaign) snapshot() Status {
 		Benchmark: c.spec.Benchmark,
 		Tenant:    c.spec.Tenant,
 		State:     c.state,
-		Layouts:   len(c.obs),
+		Layouts:   c.layouts,
 		Completed: c.completed,
 		Failed:    c.failed,
 		Restored:  c.restored,

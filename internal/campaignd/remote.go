@@ -234,7 +234,10 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	t := lease.Payload()
 	c := t.camp
-	if cerr := c.ctx.Err(); cerr != nil {
+	// A dead or finished campaign's late result settles uncharged: the
+	// worker did nothing wrong, and the campaign needs nothing more.
+	runner := c.liveRunner()
+	if cerr := c.ctx.Err(); cerr != nil || runner == nil {
 		c.abort(context.Cause(c.ctx))
 		lease.Complete()
 		s.writeJSON(w, http.StatusOK, ack{OK: true})
@@ -249,12 +252,12 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	case req.Observation == nil:
 		s.taskFailed(lease, c, t, errors.New("worker reported neither observation nor error"))
 	default:
-		if err := verifyResult(c, t, req.Observation); err != nil {
+		if err := verifyResult(runner, t, req.Observation); err != nil {
 			s.rejectResult(w, lease, worker, err)
 			return
 		}
-		if s.auditPick(c, t, lease.Attempt()) {
-			match, aerr := s.audit(c, t, req.Observation)
+		if s.auditPick(runner, c, t, lease.Attempt()) {
+			match, aerr := s.audit(runner, t, req.Observation)
 			switch {
 			case aerr != nil:
 				// The audit infrastructure failed, not the worker; the
@@ -285,12 +288,12 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 // task's — the layout's derived seed, or a search individual's genome
 // fingerprint. Both are pure recomputation from the coordinator's spec
 // — no re-execution.
-func verifyResult(c *campaign, t task, o *core.ObsWire) error {
-	if err := o.VerifyAttestation(c.runner.AttestationKey()); err != nil {
+func verifyResult(runner *core.LayoutRunner, t task, o *core.ObsWire) error {
+	if err := o.VerifyAttestation(runner.AttestationKey()); err != nil {
 		return err
 	}
 	u := t.unit()
-	if want := c.runner.Seed(u); o.LayoutSeed != want {
+	if want := runner.Seed(u); o.LayoutSeed != want {
 		return fmt.Errorf("worker observation has layout seed %#x, %v derives %#x", o.LayoutSeed, u, want)
 	}
 	return nil
@@ -330,7 +333,7 @@ func (s *Server) condemnWorker(worker string) {
 // spot-audited: the sampler is seeded by (campaign seed, task key,
 // attempt), so the audit schedule is a property of the campaign, not of
 // scheduling or worker count.
-func (s *Server) auditPick(c *campaign, t task, attempt int) bool {
+func (s *Server) auditPick(runner *core.LayoutRunner, c *campaign, t task, attempt int) bool {
 	rate := s.cfg.AuditRate
 	if rate <= 0 {
 		return false
@@ -338,7 +341,7 @@ func (s *Server) auditPick(c *campaign, t task, attempt int) bool {
 	if rate >= 1 {
 		return true
 	}
-	key := c.runner.Seed(t.unit())
+	key := runner.Seed(t.unit())
 	return xrand.New(xrand.Mix(0xa0d17ed, c.spec.effectiveSeed(), key, uint64(attempt))).Float64() < rate
 }
 
@@ -348,18 +351,18 @@ func (s *Server) auditPick(c *campaign, t task, attempt int) bool {
 // reported. Audits assume the coordinator's own seams are clean
 // (no fault injector on the serve path); they run serialized on the one
 // reserved slot, so at most one audit's build+measure is in flight.
-func (s *Server) audit(c *campaign, t task, got *core.ObsWire) (match bool, err error) {
+func (s *Server) audit(runner *core.LayoutRunner, t task, got *core.ObsWire) (match bool, err error) {
 	s.auditMu.Lock()
 	defer s.auditMu.Unlock()
 	s.audits.Inc()
 	var o core.Observation
-	c.runner.Run(c.runner.Workers()-1, []core.Unit{t.unit()}, 1, func(_ int, got core.Observation, gerr error) {
+	runner.Run(runner.Workers()-1, []core.Unit{t.unit()}, 1, func(_ int, got core.Observation, gerr error) {
 		o, err = got, gerr
 	})
 	if err != nil {
 		return false, err
 	}
-	return auditEqual(*got, reportWire(o, c.runner)), nil
+	return auditEqual(*got, reportWire(o, runner)), nil
 }
 
 // reportWire is the attested wire image of one worker execution, as a

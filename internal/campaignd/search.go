@@ -28,11 +28,16 @@ import (
 // function of the spec and byte-identical to core.RunSearch whatever
 // the worker count, batching or failure schedule.
 
-// searchRun is the generational state of a search campaign. All fields
-// below the engine handles are guarded by the owning campaign's mu.
+// searchRun is the generational state of a search campaign, guarded by
+// the owning campaign's mu. A terminal campaign keeps its shape, the
+// settled generations and the result; the engine, the sink and the
+// in-flight generation are released.
 type searchRun struct {
 	eng  *core.Search
 	sink *core.SearchCheckpointSink // nil without a checkpoint root
+
+	// pop and generations are the search shape, kept for status.
+	pop, generations int
 
 	// restored is the checkpoint prefix loaded at admission, immutable
 	// afterwards; resume cross-checks WAL generation records against it.
@@ -60,11 +65,12 @@ type generationState struct {
 // prepares the engine's shared state, and opens (or resumes) the
 // generation checkpoint. The server pushes the first pending generation
 // and starts the driver after journaling the admission.
-func newSearchCampaign(parent context.Context, spec JobSpec, scale experiments.Scale, workers int, checkpointRoot string, cache toolchain.LayoutCache, faults *faultinject.Injector, now time.Time) (*campaign, error) {
-	cfg, err := searchConfig(spec, scale)
+func newSearchCampaign(parent context.Context, spec JobSpec, scale experiments.Scale, workers int, checkpointRoot string, wl *workloads, cache toolchain.LayoutCache, faults *faultinject.Injector, now time.Time) (*campaign, error) {
+	ccfg, trace, err := wl.campaign(spec, scale)
 	if err != nil {
 		return nil, err
 	}
+	cfg := searchConfig(spec, scale, ccfg.Program)
 	cfg.Campaign.LayoutCache = cache
 	cfg.Campaign.Faults = faults
 	id := spec.ID(scale)
@@ -76,11 +82,11 @@ func newSearchCampaign(parent context.Context, spec JobSpec, scale experiments.S
 		}
 	}
 
-	eng, err := core.NewSearch(cfg, workers)
+	eng, err := core.NewSearchOn(cfg, trace, workers)
 	if err != nil {
 		return nil, err
 	}
-	run := &searchRun{eng: eng}
+	run := &searchRun{eng: eng, pop: eng.Population(), generations: eng.Generations()}
 	if cfg.Campaign.Checkpoint.Dir != "" {
 		run.sink, err = core.OpenSearchCheckpointSink(eng)
 		if err != nil {
@@ -95,7 +101,7 @@ func newSearchCampaign(parent context.Context, spec JobSpec, scale experiments.S
 	if spec.DeadlineMS > 0 {
 		ctx, stopTimer = context.WithDeadline(ctx, now.Add(time.Duration(spec.DeadlineMS)*time.Millisecond))
 	}
-	pop := eng.Population()
+	pop := run.pop
 	c := &campaign{
 		id:        id,
 		spec:      spec,
@@ -106,18 +112,19 @@ func newSearchCampaign(parent context.Context, spec JobSpec, scale experiments.S
 		stopTimer: stopTimer,
 		created:   now,
 		state:     StateRunning,
+		layouts:   pop,
 		obs:       make([]core.Observation, pop),
 		done:      make(map[int]bool, pop),
 		attempts:  make(map[int]int),
 		restored:  len(run.gens) * pop,
 		completed: len(run.gens) * pop,
-		remaining: (eng.Generations() - len(run.gens)) * pop,
+		remaining: (run.generations - len(run.gens)) * pop,
 		finished:  make(chan struct{}),
 	}
-	if len(run.gens) >= eng.Generations() {
+	if len(run.gens) >= run.generations {
 		// Fully restored from the checkpoint: finalize without queueing
 		// a single task, exactly like a fully-restored layout campaign.
-		c.finishSearch(run.gens)
+		c.finishSearch(eng, run.gens)
 	}
 	return c, nil
 }
@@ -125,8 +132,8 @@ func newSearchCampaign(parent context.Context, spec JobSpec, scale experiments.S
 // snapshotLocked fills a Status's search fields. Callers hold c.mu.
 func (r *searchRun) snapshotLocked(st *Status) {
 	st.Kind = KindSearch
-	st.Layouts = r.eng.Population()
-	st.Generations = r.eng.Generations()
+	st.Layouts = r.pop
+	st.Generations = r.generations
 	st.Generation = len(r.gens)
 	if r.result != nil {
 		st.BestCPI = r.result.Best.Obs.CPI()
@@ -139,6 +146,11 @@ func (r *searchRun) snapshotLocked(st *Status) {
 			st.BestCPI = cpi
 		}
 	}
+}
+
+// release drops what only a running search needs. Callers hold c.mu.
+func (r *searchRun) release() {
+	r.eng, r.sink, r.cur = nil, nil, nil
 }
 
 // beginGeneration registers the in-flight generation and resets the
@@ -183,7 +195,6 @@ func (c *campaign) completeSearch(t task, o core.Observation) {
 // the search — it simply loses selection, exactly as in core.Search;
 // a generation with no valid individual fails the campaign at Settle.
 func (c *campaign) failSearchIndividual(t task, attempts int) {
-	o := c.runner.Failed(t.unit(), attempts)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	g := c.search.cur
@@ -191,7 +202,7 @@ func (c *campaign) failSearchIndividual(t task, attempts int) {
 		return
 	}
 	g.done[t.layout] = true
-	g.obs[t.layout] = o
+	g.obs[t.layout] = c.runner.Failed(t.unit(), attempts)
 	g.remaining--
 	c.completed++
 	c.failed++
@@ -209,10 +220,14 @@ func (c *campaign) generationSettled(g *generationState) ([]core.Observation, bo
 }
 
 // putGeneration persists one settled generation and publishes it to
-// status and the streaming export.
+// status and the streaming export. A campaign that died while the
+// generation settled refuses it: its trajectory is closed.
 func (c *campaign) putGeneration(res core.GenerationResult) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.state != StateRunning {
+		return fmt.Errorf("campaignd: campaign %s is %s", c.id, c.state)
+	}
 	if c.search.sink != nil {
 		if err := c.search.sink.Put(res); err != nil {
 			return err
@@ -252,9 +267,14 @@ func (c *campaign) searchResult() (*core.SearchResult, error) {
 	}
 }
 
-// finishSearch finalizes the trajectory.
-func (c *campaign) finishSearch(gens []core.GenerationResult) {
-	res, err := c.search.eng.Finalize(gens)
+// finishSearch finalizes the trajectory. The kept result drops the
+// campaign config, which would pin the program; the report never reads
+// it.
+func (c *campaign) finishSearch(eng *core.Search, gens []core.GenerationResult) {
+	res, err := eng.Finalize(gens)
+	if err == nil {
+		res.Config.Campaign = core.CampaignConfig{}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.state != StateRunning {
@@ -277,13 +297,18 @@ func (c *campaign) finishSearch(gens []core.GenerationResult) {
 // same 429 a layout fan-out gets — and starts the campaign's driver.
 // Caller is admit, which already journaled the submission.
 func (s *Server) admitSearch(c *campaign) error {
-	gens := c.search.gens
+	c.mu.Lock()
+	eng, gens := c.search.eng, c.search.gens
+	c.mu.Unlock()
+	if eng == nil {
+		return ErrDraining // a drain interrupted it before its first push
+	}
 	gen := len(gens)
 	var prev *core.GenerationResult
 	if gen > 0 {
 		prev = &gens[gen-1]
 	}
-	genomes, err := c.search.eng.Genomes(gen, prev)
+	genomes, err := eng.Genomes(gen, prev)
 	if err != nil {
 		return err
 	}
@@ -299,7 +324,7 @@ func (s *Server) admitSearch(c *campaign) error {
 	s.drivers++
 	s.mu.Unlock()
 	s.driverWG.Add(1)
-	go s.searchDriver(c, g, bar, append([]core.GenerationResult(nil), gens...))
+	go s.searchDriver(c, eng, g, bar, append([]core.GenerationResult(nil), gens...))
 	return nil
 }
 
@@ -317,14 +342,13 @@ func searchTasks(c *campaign, g *generationState) []task {
 // in-flight generation's barrier, settle it, checkpoint and journal it,
 // breed and push the next. It exits when the trajectory finalizes, the
 // campaign dies, or the queue stops admitting (drain).
-func (s *Server) searchDriver(c *campaign, g *generationState, bar *jobqueue.Barrier, gens []core.GenerationResult) {
+func (s *Server) searchDriver(c *campaign, eng *core.Search, g *generationState, bar *jobqueue.Barrier, gens []core.GenerationResult) {
 	defer func() {
 		s.mu.Lock()
 		s.drivers--
 		s.mu.Unlock()
 		s.driverWG.Done()
 	}()
-	eng := c.search.eng
 	for {
 		select {
 		case <-bar.Done():
@@ -358,7 +382,7 @@ func (s *Server) searchDriver(c *campaign, g *generationState, bar *jobqueue.Bar
 
 		gen := g.gen + 1
 		if gen >= eng.Generations() {
-			c.finishSearch(gens)
+			c.finishSearch(eng, gens)
 			return
 		}
 		genomes, err := eng.Genomes(gen, &gens[len(gens)-1])

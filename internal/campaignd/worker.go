@@ -134,7 +134,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.Coordinator == "" {
 		return errors.New("campaignd: worker needs a coordinator URL")
 	}
-	runners := &workerRunners{w: w}
+	runners := &workerRunners{w: w, wl: newWorkloads(w.Obs)}
 	var wg sync.WaitGroup
 	for slot := 0; slot < w.parallel(); slot++ {
 		wg.Add(1)
@@ -386,13 +386,16 @@ func (w *Worker) post(ctx context.Context, path string, body, out any) (int, htt
 }
 
 // workerRunners caches one LayoutRunner per campaign. The runner holds
-// the campaign's shared work (trace interpretation, the one compile all
-// layouts reorder), so reusing it across that campaign's tasks is what
-// makes a worker's marginal task cost just Reorder+Link+measure. A
-// small bound is plenty: a worker rarely interleaves more than a couple
-// of campaigns, and an evicted runner is just recomputed.
+// the campaign's shared work (the one compile all layouts reorder), so
+// reusing it across that campaign's tasks is what makes a worker's
+// marginal task cost just Reorder+Link+measure. Runners are built over
+// the worker's shared workloads, so campaigns of one benchmark and
+// budget replay one program and trace. A small bound is plenty: a
+// worker rarely interleaves more than a couple of campaigns, and an
+// evicted runner is just recomputed.
 type workerRunners struct {
-	w *Worker
+	w  *Worker
+	wl *workloads
 
 	mu      sync.Mutex
 	runners map[string]*core.LayoutRunner
@@ -408,14 +411,14 @@ func (rc *workerRunners) get(id string, spec JobSpec, scale experiments.Scale) (
 	if r, ok := rc.runners[id]; ok {
 		return r, nil
 	}
-	cfg, err := campaignConfig(spec, scale)
+	cfg, trace, err := rc.wl.campaign(spec, scale)
 	if err != nil {
 		return nil, err
 	}
 	cfg.LayoutCache = rc.w.Cache
 	cfg.Faults = rc.w.Faults
 	cfg.Obs = rc.w.Obs
-	r, err := core.NewLayoutRunner(cfg, rc.w.parallel())
+	r, err := core.NewLayoutRunnerOn(cfg, trace, rc.w.parallel())
 	if err != nil {
 		return nil, err
 	}

@@ -45,6 +45,15 @@ type LayoutRunner struct {
 // prepares the shared compile plus one measurement harness per worker
 // slot (workers <= 0 means 1).
 func NewLayoutRunner(cfg CampaignConfig, workers int) (*LayoutRunner, error) {
+	return NewLayoutRunnerOn(cfg, nil, workers)
+}
+
+// NewLayoutRunnerOn is NewLayoutRunner over a trace the caller already
+// interpreted from cfg's program, input seed and budget, so schedulers
+// running many campaigns of one workload interpret it once. The trace is
+// only read, never written, so any number of runners may share it. A nil
+// trace is interpreted here.
+func NewLayoutRunnerOn(cfg CampaignConfig, trace *interp.Trace, workers int) (*LayoutRunner, error) {
 	if cfg.Program == nil {
 		return nil, errors.New("core: campaign needs a program")
 	}
@@ -54,9 +63,13 @@ func NewLayoutRunner(cfg CampaignConfig, workers int) (*LayoutRunner, error) {
 	if cfg.Budget == 0 && cfg.Limiter.StopCount == 0 {
 		return nil, errors.New("core: campaign needs a budget or limiter")
 	}
-	trace, err := interp.Run(cfg.Program, cfg.InputSeed, cfg.stopRule())
-	if err != nil {
-		return nil, fmt.Errorf("core: trace generation failed: %w", err)
+	if trace == nil {
+		var err error
+		if trace, err = interp.Run(cfg.Program, cfg.InputSeed, cfg.stopRule()); err != nil {
+			return nil, fmt.Errorf("core: trace generation failed: %w", err)
+		}
+	} else if trace.Program != cfg.Program || trace.InputSeed != cfg.InputSeed {
+		return nil, errors.New("core: trace was not interpreted from the campaign's program and input")
 	}
 	return newRunner(cfg, trace, workers), nil
 }

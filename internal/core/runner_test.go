@@ -71,6 +71,18 @@ func TestLayoutRunnerMatchesRunCampaign(t *testing.T) {
 			t.Fatalf("chunk observation of layout %d differs: %+v vs %+v", order[j], o, want.Obs[order[j]])
 		}
 	})
+
+	// A runner over an already interpreted trace — a scheduler sharing
+	// one trace across campaigns — measures the same bytes.
+	shared, err := core.NewLayoutRunnerOn(cfg, want.Trace, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared.Run(0, units, 1, func(j int, o core.Observation, err error) {
+		if err != nil || o != want.Obs[order[j]] {
+			t.Fatalf("shared-trace observation of layout %d differs (%v): %+v vs %+v", order[j], err, o, want.Obs[order[j]])
+		}
+	})
 }
 
 // TestLayoutRunnerRepeatedExecutionIdentical re-runs the same layout:
@@ -122,6 +134,16 @@ func TestLayoutRunnerValidation(t *testing.T) {
 	}
 	if _, err := r.Dataset(make([]core.Observation, 1), nil); err == nil {
 		t.Error("short observation slice accepted by Dataset")
+	}
+	ds, err := r.Dataset(make([]core.Observation, 2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := smallCampaign(2)
+	other.Program = ds.Trace.Program
+	other.InputSeed = ds.Trace.InputSeed + 1
+	if _, err := core.NewLayoutRunnerOn(other, ds.Trace, 1); err == nil {
+		t.Error("a trace of another input accepted by NewLayoutRunnerOn")
 	}
 }
 

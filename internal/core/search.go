@@ -10,6 +10,7 @@ import (
 	"math"
 	"sort"
 
+	"interferometry/internal/interp"
 	"interferometry/internal/obs"
 	"interferometry/internal/stats"
 	"interferometry/internal/toolchain"
@@ -203,6 +204,12 @@ func newSearchObs(o *obs.Observer) *searchObs {
 // and per-worker harnesses (workers <= 0 means 1). The embedded
 // campaign's Layouts is overridden with the population size.
 func NewSearch(cfg SearchConfig, workers int) (*Search, error) {
+	return NewSearchOn(cfg, nil, workers)
+}
+
+// NewSearchOn is NewSearch over an already interpreted trace, with the
+// contract of NewLayoutRunnerOn.
+func NewSearchOn(cfg SearchConfig, trace *interp.Trace, workers int) (*Search, error) {
 	if cfg.Population < 0 || cfg.Generations < 0 {
 		return nil, errors.New("core: search population and generations must be non-negative")
 	}
@@ -211,7 +218,7 @@ func NewSearch(cfg SearchConfig, workers int) (*Search, error) {
 	}
 	cfg.Campaign.Layouts = cfg.population()
 	cfg.Campaign.FirstLayout = 0
-	runner, err := NewLayoutRunner(cfg.Campaign, workers)
+	runner, err := NewLayoutRunnerOn(cfg.Campaign, trace, workers)
 	if err != nil {
 		return nil, err
 	}
