@@ -21,10 +21,6 @@
 //	campaignd -addr :8347 -workers 0 -checkpoint-root /var/lib/campaignd
 //	campaignd -worker -coordinator http://coordinator:8347 -workers 4
 //
-// An artifact cache (-artifact-cache DIR) makes resubmitted, resumed
-// and extended campaigns skip redundant layout builds; it helps both
-// serve and worker modes.
-//
 // Chaos soak mode proves the byte-identity claim against the live
 // service under injected error bursts, panics and latency spikes
 // (-chaos-shard-workers N runs the rounds in sharded mode):
@@ -59,7 +55,6 @@ import (
 	"syscall"
 	"time"
 
-	"interferometry/internal/artifactcache"
 	"interferometry/internal/campaignd"
 	"interferometry/internal/experiments"
 	"interferometry/internal/faultinject"
@@ -67,7 +62,6 @@ import (
 	"interferometry/internal/jobqueue/backoff"
 	"interferometry/internal/obs"
 	"interferometry/internal/obsflag"
-	"interferometry/internal/toolchain"
 )
 
 func main() {
@@ -78,8 +72,6 @@ func main() {
 		workerMode     = flag.Bool("worker", false, "run as a remote worker pulling tasks from -coordinator")
 		coordinator    = flag.String("coordinator", "", "coordinator base URL for -worker mode, e.g. http://host:8347")
 		workerBatch    = flag.Int("batch", 0, "worker mode: tasks leased per pull; same-campaign leases share one batched trace walk (<=1 leases singly)")
-		cacheDir       = flag.String("artifact-cache", "", "directory for the content-addressed layout artifact cache (empty = off)")
-		cacheMB        = flag.Int64("artifact-cache-mb", 256, "artifact cache size bound in MiB")
 		queueCap       = flag.Int("queue-capacity", 256, "max tasks in the system (queued + leased)")
 		lease          = flag.Duration("lease", 30*time.Second, "task lease duration without a heartbeat")
 		maxAttempts    = flag.Int("max-attempts", 3, "executions per layout before permanent failure")
@@ -171,20 +163,6 @@ func main() {
 		observer.Metrics = obs.NewMetrics()
 	}
 
-	var cache toolchain.LayoutCache
-	if *cacheDir != "" {
-		c, cerr := artifactcache.Open(artifactcache.Config{
-			Dir:      *cacheDir,
-			MaxBytes: *cacheMB << 20,
-			Obs:      observer,
-		})
-		if cerr != nil {
-			fmt.Fprintln(os.Stderr, cerr)
-			os.Exit(1)
-		}
-		cache = c
-	}
-
 	if *workerMode {
 		if *coordinator == "" {
 			fmt.Fprintln(os.Stderr, "-worker needs -coordinator URL")
@@ -195,7 +173,6 @@ func main() {
 			ID:          *workerID,
 			Parallel:    *workers,
 			Batch:       *workerBatch,
-			Cache:       cache,
 			Obs:         observer,
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
@@ -223,7 +200,6 @@ func main() {
 		Scale:                 scale,
 		Workers:               *workers,
 		NoLocalWorkers:        *workers == 0,
-		LayoutCache:           cache,
 		QueueCapacity:         *queueCap,
 		Lease:                 *lease,
 		MaxAttempts:           *maxAttempts,

@@ -119,11 +119,6 @@ type Config struct {
 	// recent results (a sliding window of 32) were rejected at
 	// verification. Zero means 3. Audit failures condemn immediately.
 	QuarantineThreshold int
-	// LayoutCache optionally backs every campaign's build seam with a
-	// shared content-addressed artifact store (internal/artifactcache),
-	// so resubmitted, resumed and extended campaigns skip redundant
-	// Reorder+Link work. Nil builds every layout from scratch.
-	LayoutCache toolchain.LayoutCache
 	// Faults optionally injects faults into every campaign's build and
 	// measure seams — the chaos soak's hook. Nil runs clean.
 	Faults *faultinject.Injector
@@ -479,7 +474,7 @@ func (s *Server) admit(spec JobSpec, record bool) (Status, error) {
 	// reserves one runner slot (the last) for the coordinator's
 	// spot-audit re-executions, which must never contend with the local
 	// pool's slots.
-	c, pending, err := newCampaign(s.baseCtx, spec, s.cfg.scale(), s.cfg.workers()+1, s.cfg.CheckpointRoot, s.workloads, s.cfg.LayoutCache, s.cfg.Faults, s.now())
+	c, pending, err := newCampaign(s.baseCtx, spec, s.cfg.scale(), s.cfg.workers()+1, s.cfg.CheckpointRoot, s.workloads, s.cfg.Faults, s.now())
 	if err != nil {
 		return Status{}, err
 	}
@@ -827,10 +822,10 @@ func (s *Server) deny(lease *jobqueue.Lease[task], b *jobqueue.Breaker) {
 
 // taskFailed settles a failed execution: requeue with seeded backoff
 // while attempts remain, otherwise record the permanent failure. A
-// failure that lands after its campaign finished charges nothing and
-// just settles the lease.
+// failure that lands after its campaign finished, or after its search
+// generation settled, charges nothing and just settles the lease.
 func (s *Server) taskFailed(lease *jobqueue.Lease[task], c *campaign, t task, err error) {
-	n, live := c.recordFailure(t.layout)
+	n, live := c.recordFailure(t)
 	if !live {
 		lease.Complete()
 		return

@@ -15,7 +15,6 @@ import (
 	"interferometry/internal/faultinject"
 	"interferometry/internal/isa"
 	"interferometry/internal/progen"
-	"interferometry/internal/toolchain"
 )
 
 // JobSpec is the JSON body of a campaign submission. Everything that
@@ -260,16 +259,15 @@ type campaign struct {
 // shared workload, prepares the runner's per-campaign state, and opens
 // (or resumes) the checkpoint. The returned pending slice lists the
 // layout indices still to measure.
-func newCampaign(parent context.Context, spec JobSpec, scale experiments.Scale, workers int, checkpointRoot string, wl *workloads, cache toolchain.LayoutCache, faults *faultinject.Injector, now time.Time) (*campaign, []int, error) {
+func newCampaign(parent context.Context, spec JobSpec, scale experiments.Scale, workers int, checkpointRoot string, wl *workloads, faults *faultinject.Injector, now time.Time) (*campaign, []int, error) {
 	if spec.IsSearch() {
-		c, err := newSearchCampaign(parent, spec, scale, workers, checkpointRoot, wl, cache, faults, now)
+		c, err := newSearchCampaign(parent, spec, scale, workers, checkpointRoot, wl, faults, now)
 		return c, nil, err
 	}
 	cfg, trace, err := wl.campaign(spec, scale)
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg.LayoutCache = cache
 	cfg.Faults = faults
 	id := spec.ID(scale)
 
@@ -381,18 +379,23 @@ func (c *campaign) completeTask(t task, o core.Observation) {
 	c.complete(t.layout, o)
 }
 
-// recordFailure counts one failed execution of layout i and reports the
-// total so far. A terminal campaign charges nothing and reports
-// live == false: its late tasks just settle. Breaker denials never
-// reach here: they requeue without executing, so they cost no attempt.
-func (c *campaign) recordFailure(i int) (n int, live bool) {
+// recordFailure counts one failed execution of t and reports the total
+// so far. A terminal campaign charges nothing and reports live == false:
+// its late tasks just settle. So does a search task of a generation that
+// is no longer in flight, whose index would otherwise charge the
+// current generation's individual. Breaker denials never reach here:
+// they requeue without executing, so they cost no attempt.
+func (c *campaign) recordFailure(t task) (n int, live bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.state != StateRunning {
 		return 0, false
 	}
-	c.attempts[i]++
-	return c.attempts[i], true
+	if t.genome != nil && (c.search.cur == nil || c.search.cur.gen != t.gen) {
+		return 0, false
+	}
+	c.attempts[t.layout]++
+	return c.attempts[t.layout], true
 }
 
 func (c *campaign) attemptsOf(i int) int {

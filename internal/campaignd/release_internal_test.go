@@ -597,6 +597,85 @@ func TestLateRemoteComplete(t *testing.T) {
 	}
 }
 
+// TestLateStaleGeneration: a search individual's failure that lands
+// after its generation settled — a reaped lease's original execution
+// failing late, or a late remote error report — charges nothing. In
+// particular it must not charge the next generation's individual of
+// the same index, whose attempts column would then diverge from
+// core.RunSearch.
+func TestLateStaleGeneration(t *testing.T) {
+	prog, err := benchmarkProgram("429.mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := releaseSearchSpec(3, 2)
+	s, base := serve(t, Config{NoLocalWorkers: true})
+	st, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := s.lookup(st.ID)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	pop := func() *jobqueue.Lease[task] {
+		t.Helper()
+		l, err := s.queue.Pop(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	// Generation 0's originals, plus a duplicate of one individual
+	// whose execution outlives the generation.
+	var gen0 []*jobqueue.Lease[task]
+	for i := 0; i < 3; i++ {
+		gen0 = append(gen0, pop())
+	}
+	if err := s.queue.PushBatchTenant(spec.Tenant, 0, []task{gen0[0].Payload()}); err != nil {
+		t.Fatal(err)
+	}
+	stale := pop()
+	for _, l := range gen0 {
+		s.runTask(0, l)
+	}
+	for began := false; !began; {
+		c.mu.Lock()
+		began = c.search.cur != nil && c.search.cur.gen == 1
+		c.mu.Unlock()
+		if !began {
+			if ctx.Err() != nil {
+				t.Fatal("generation 1 never began")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	s.taskFailed(stale, c, stale.Payload(), errors.New("stale generation failed"))
+
+	stop := pool(s, 1)
+	c = finished(t, s, st.ID)
+	for s.queue.Depth() != 0 || s.queue.Leased() != 0 {
+		if ctx.Err() != nil {
+			t.Fatalf("queue never drained: depth %d, leased %d", s.queue.Depth(), s.queue.Leased())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stop()
+	if got := c.snapshot(); got.State != StateDone || got.Failed != 0 {
+		t.Fatalf("campaign ended %s with %d failed: %s", got.State, got.Failed, got.Error)
+	}
+	res, err := core.RunSearch(searchConfig(spec, experiments.Small, prog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := results.WriteGenerationsCSV(&want, res); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, got := httpGet(t, base+"/campaigns/"+st.ID+"/generations"); code != http.StatusOK || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("status %d; generations differ from core.RunSearch:\n%s\n--- want ---\n%s", code, got, want.Bytes())
+	}
+}
+
 // TestRetentionBound: a long-running service retains at most 64 KiB of
 // heap per finished campaign. Each rotation admits two layout
 // campaigns and one search, as the service benchmark does.

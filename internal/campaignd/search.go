@@ -65,13 +65,12 @@ type generationState struct {
 // prepares the engine's shared state, and opens (or resumes) the
 // generation checkpoint. The server pushes the first pending generation
 // and starts the driver after journaling the admission.
-func newSearchCampaign(parent context.Context, spec JobSpec, scale experiments.Scale, workers int, checkpointRoot string, wl *workloads, cache toolchain.LayoutCache, faults *faultinject.Injector, now time.Time) (*campaign, error) {
+func newSearchCampaign(parent context.Context, spec JobSpec, scale experiments.Scale, workers int, checkpointRoot string, wl *workloads, faults *faultinject.Injector, now time.Time) (*campaign, error) {
 	ccfg, trace, err := wl.campaign(spec, scale)
 	if err != nil {
 		return nil, err
 	}
 	cfg := searchConfig(spec, scale, ccfg.Program)
-	cfg.Campaign.LayoutCache = cache
 	cfg.Campaign.Faults = faults
 	id := spec.ID(scale)
 	if checkpointRoot != "" {
@@ -154,8 +153,10 @@ func (r *searchRun) release() {
 }
 
 // beginGeneration registers the in-flight generation and resets the
-// per-individual attempt counters — only one generation's tasks are
-// ever in the system, so the counters never collide across generations.
+// per-individual attempt counters. A stale execution of an earlier
+// generation can still land after this (a reaped lease's original run,
+// a late remote report); recordFailure charges it nothing, so the
+// counters only ever count the in-flight generation.
 func (c *campaign) beginGeneration(gen int, genomes []toolchain.Genome) (*generationState, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -17,7 +17,6 @@ import (
 	"interferometry/internal/faultinject"
 	"interferometry/internal/jobqueue/backoff"
 	"interferometry/internal/obs"
-	"interferometry/internal/toolchain"
 )
 
 // Worker is one remote execution process: it pulls leased layout tasks
@@ -56,9 +55,6 @@ type Worker struct {
 	// the worker's ID, so a fleet that loses its coordinator does not
 	// thunder back in lockstep. The zero policy means {50ms, 2s, 0.5}.
 	Backoff backoff.Policy
-	// Cache optionally backs the worker's build seam with a layout
-	// artifact store, shared with other workers on the same host.
-	Cache toolchain.LayoutCache
 	// Faults optionally injects faults into the worker's seams — the
 	// sharded chaos soak's hook. Nil runs clean.
 	Faults *faultinject.Injector
@@ -415,7 +411,6 @@ func (rc *workerRunners) get(id string, spec JobSpec, scale experiments.Scale) (
 	if err != nil {
 		return nil, err
 	}
-	cfg.LayoutCache = rc.w.Cache
 	cfg.Faults = rc.w.Faults
 	cfg.Obs = rc.w.Obs
 	r, err := core.NewLayoutRunnerOn(cfg, trace, rc.w.parallel())

@@ -21,8 +21,8 @@ const AttestationVersion = "pia1"
 var ErrAttestation = errors.New("core: attestation mismatch")
 
 // Attest computes the observation's deterministic fingerprint: a hash
-// chain over the builder cache key (toolchain identity — program,
-// compile and link config) and every wire field, plus the derived CPI.
+// chain over the builder identity (toolchain.Builder.Identity —
+// program, compile and link config) and every wire field, plus the derived CPI.
 // Workers stamp it before reporting; the coordinator re-derives it from
 // its own spec, so a result built by a different toolchain, for a
 // different campaign, or with flipped counter bits fails the cheap

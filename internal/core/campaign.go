@@ -128,20 +128,9 @@ type CampaignConfig struct {
 	// directory and supports resuming. Zero value disables.
 	Checkpoint CheckpointConfig
 
-	// LayoutCache optionally backs the build seam with a store of
-	// encoded layouts keyed by (builder fingerprint, layout seed), so a
-	// resubmitted, resumed or extended campaign skips redundant
-	// Reorder+Link work. Linking is deterministic, so a hit is
-	// bit-identical to a rebuild and the cache never changes results.
-	// internal/artifactcache provides the bounded on-disk
-	// implementation. Nil disables caching.
-	LayoutCache toolchain.LayoutCache
-
 	// Faults optionally injects deterministic faults at the build and
 	// measure seams. It exists for the fault-injection test harness;
-	// production campaigns leave it nil. Faults wrap outside the layout
-	// cache, so an injected build fault corrupts only the returned copy,
-	// never the cached artifact.
+	// production campaigns leave it nil.
 	Faults *faultinject.Injector
 
 	// Obs optionally observes the campaign: metrics, span tracing and

@@ -32,7 +32,6 @@ type LayoutRunner struct {
 	// builder is the one compile behind both build seams.
 	builder *toolchain.Builder
 	build   buildSeam
-	gb      genomeSeam
 	meas    []measureSeam
 	// slots holds each worker slot's batched-replay state; the slot's
 	// det cache backs the slot's harness.
@@ -79,8 +78,7 @@ func NewLayoutRunnerOn(cfg CampaignConfig, trace *interp.Trace, workers int) (*L
 // the unit) and one counter harness per worker slot, both wrapped by the
 // fault injector when one is configured. Each harness reads its slot's
 // det cache through the pmc.DetSource seam. The genome seam is the same
-// builder (cached when a layout cache is configured); Unit.builder
-// fault-wraps it per call.
+// builder; Unit.builder fault-wraps it per call.
 func newRunner(cfg CampaignConfig, trace *interp.Trace, workers int) *LayoutRunner {
 	if workers <= 0 {
 		workers = 1
@@ -90,12 +88,8 @@ func newRunner(cfg CampaignConfig, trace *interp.Trace, workers int) *LayoutRunn
 	r.co = newCampaignObs(c)
 	r.builder = toolchain.NewBuilder(c.Program, c.Compile, c.Link)
 	r.builder.Observe(builderMetrics(c.Obs))
-	r.attKey = r.builder.CacheKey()
-	r.build, r.gb = r.builder, r.builder
-	if c.LayoutCache != nil {
-		cb := toolchain.NewCachedBuilder(r.builder, c.LayoutCache)
-		r.build, r.gb = cb, cb
-	}
+	r.attKey = r.builder.Identity()
+	r.build = r.builder
 	if c.Faults != nil {
 		c.Faults.Observe(c.Obs)
 		r.build = c.Faults.WrapBuilder(r.build)

@@ -22,10 +22,10 @@ import (
 //
 // A genome's stable identity is its fingerprint. It plays the role the
 // layout seed plays for indexed layouts: it keys the fault streams, the
-// heap and noise seed derivations, the artifact cache, and the
-// provenance check on results streamed back from remote workers.
-// Fingerprints are forced even and layout seeds forced odd, so the two
-// keyspaces never collide in a shared cache or fault plan.
+// heap and noise seed derivations, and the provenance check on results
+// streamed back from remote workers. Fingerprints are forced even and
+// layout seeds forced odd, so the two keyspaces never collide in a
+// fault plan.
 type Unit struct {
 	index  int               // campaign-local layout index; -1 for a genome
 	genome *toolchain.Genome // nil for an indexed layout
@@ -136,26 +136,19 @@ func (u Unit) builder(r *LayoutRunner) buildSeam {
 	if u.genome == nil {
 		return r.build
 	}
-	var b buildSeam = genomeBuild{gb: r.gb, g: u.genome}
+	var b buildSeam = genomeBuild{b: r.builder, g: u.genome}
 	if r.cfg.Faults != nil {
 		b = r.cfg.Faults.WrapBuilder(b)
 	}
 	return b
 }
 
-// genomeSeam is the build seam of the search path: an explicit
-// permutation in, an executable out. Builder and CachedBuilder satisfy
-// it.
-type genomeSeam interface {
-	BuildGenome(g toolchain.Genome) (*toolchain.Executable, error)
-}
-
 // genomeBuild presents one genome build as a seed-keyed build seam.
 type genomeBuild struct {
-	gb genomeSeam
-	g  *toolchain.Genome
+	b *toolchain.Builder
+	g *toolchain.Genome
 }
 
 func (b genomeBuild) Build(uint64) (*toolchain.Executable, error) {
-	return b.gb.BuildGenome(*b.g)
+	return b.b.BuildGenome(*b.g)
 }

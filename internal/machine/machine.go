@@ -313,10 +313,9 @@ func (m *Machine) heapFor(spec RunSpec) heap.Allocator {
 
 // Invalidate drops the cached per-block precomputation, forcing the next
 // run to reload its executable. The load cache keys on pointer identity,
-// so an Executable mutated in place — e.g. a buffer re-decoded by an
-// artifact cache, or a test rewriting BlockAddr — would otherwise be
-// served stale block tables; callers that rebuild an executable in place
-// must call Invalidate before the next run.
+// so an Executable mutated in place — e.g. a test rewriting BlockAddr —
+// would otherwise be served stale block tables; callers that rebuild an
+// executable in place must call Invalidate before the next run.
 func (m *Machine) Invalidate() { m.loadedExe = nil }
 
 // load precomputes per-block state for the executable. The block table and

@@ -2,6 +2,7 @@ package toolchain
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"time"
 
@@ -230,8 +231,8 @@ func CrossoverGenomes(a, b Genome, rng *xrand.Rand) Genome {
 // Genome codec. Genomes travel through the coordinator/worker lease
 // protocol, live in per-generation search checkpoints, and may be
 // embedded in WAL records, so the encoding is versioned and
-// checksummed: like the artifact cache's layout codec, a damaged genome
-// must fail decoding — never decode to a wrong-but-valid layout.
+// checksummed: a damaged genome must fail decoding — never decode to a
+// wrong-but-valid layout.
 const (
 	genomeMagic   uint64 = 0x49464745_4e4f4d45 // "IFGENOME"
 	genomeVersion uint64 = 1
@@ -290,7 +291,7 @@ func DecodeGenome(data []byte) (Genome, error) {
 	if genomeChecksum(body) != sum {
 		return Genome{}, fmt.Errorf("toolchain: encoded genome: checksum mismatch")
 	}
-	d := layoutDecoder{data: body}
+	d := wordDecoder{data: body}
 	if d.u64() != genomeMagic || d.u64() != genomeVersion {
 		return Genome{}, fmt.Errorf("toolchain: encoded genome: bad header")
 	}
@@ -376,25 +377,22 @@ func (b *Builder) BuildGenome(g Genome) (*Executable, error) {
 	return Link(b.prog, units, g.Fingerprint(), b.lcfg)
 }
 
-// BuildGenome links a genome through the cache, keyed by (artifact key,
-// genome fingerprint) — the genome analog of Build's (key, seed).
-// Fingerprints are forced even and layout seeds forced odd, so the two
-// families never collide in a shared store. A corrupt or stale entry
-// fails decoding and falls through to a rebuild, identical to Build.
-func (cb *CachedBuilder) BuildGenome(g Genome) (*Executable, error) {
-	if cb.cache == nil {
-		return cb.b.BuildGenome(g)
+// wordDecoder reads fixed-width little-endian words, latching the first
+// error so DecodeGenome can check once at the end.
+type wordDecoder struct {
+	data []byte
+	err  error
+}
+
+func (d *wordDecoder) u64() uint64 {
+	if d.err != nil {
+		return 0
 	}
-	fp := g.Fingerprint()
-	if data, ok := cb.cache.Get(cb.key, fp); ok {
-		if exe, err := DecodeLayout(data, cb.b.Program()); err == nil && exe.Seed == fp {
-			return exe, nil
-		}
+	if len(d.data) < 8 {
+		d.err = errors.New("truncated")
+		return 0
 	}
-	exe, err := cb.b.BuildGenome(g)
-	if err != nil {
-		return nil, err
-	}
-	cb.cache.Put(cb.key, fp, EncodeLayout(exe))
-	return exe, nil
+	v := binary.LittleEndian.Uint64(d.data)
+	d.data = d.data[8:]
+	return v
 }
