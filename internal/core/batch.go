@@ -106,9 +106,10 @@ type batchSlot struct {
 // walk runs the trace once for the slot's pending specs, guarded
 // against panics, and records every lane's deterministic replay in the
 // det cache. A failed walk adds no entries, so its units replay
-// sequentially, and counts as a batch-walk fallback. Observed, the walk
-// is a "walk" span on worker w's lane, parented on the campaign span
-// and keyed by the chunk's first unit.
+// sequentially, and counts as a batch-walk fallback; a successful one
+// counts which L1 banks it walked on the resident path. Observed, the
+// walk is a "walk" span on worker w's lane, parented on the campaign
+// span and keyed by the chunk's first unit.
 func (s *batchSlot) walk(co *campaignObs, w int, key uint64) {
 	st := co.walkStart(key, w)
 	err := runGuarded(func(_, _ int) error {
@@ -122,8 +123,19 @@ func (s *batchSlot) walk(co *campaignObs, w int, key uint64) {
 		return nil
 	}, 0, 0)
 	st.end()
-	if err != nil && co != nil {
+	if co == nil {
+		return
+	}
+	if err != nil {
 		co.batchFallbacks.Inc()
+		return
+	}
+	l1i, l1d := s.batch.Resident()
+	if l1i {
+		co.l1iResident.Inc()
+	}
+	if l1d {
+		co.l1dResident.Inc()
 	}
 }
 

@@ -60,6 +60,8 @@ type campaignObs struct {
 	outliersRepaired *obs.Counter
 	screenFailures   *obs.Counter
 	batchFallbacks   *obs.Counter
+	l1iResident      *obs.Counter
+	l1dResident      *obs.Counter
 
 	compileSec *obs.Histogram
 	runSec     *obs.Histogram
@@ -87,8 +89,10 @@ func newCampaignObs(cfg *CampaignConfig) *campaignObs {
 		outliersRepaired: o.Counter("interferometry_outliers_repaired_total", "flagged observations replaced by re-measurement"),
 		screenFailures:   o.Counter("interferometry_outlier_remeasure_failures_total", "outlier-screen re-measurements that failed or panicked"),
 		batchFallbacks:   o.Counter("interferometry_batch_walk_fallbacks_total", "batched trace walks that failed or panicked, leaving their layouts to scalar replay"),
+		l1iResident:      o.Counter("interferometry_batch_walk_l1i_resident_total", "batched trace walks whose L1I was proven eviction-free in every lane, skipping the fetch walks of repeat block executions"),
+		l1dResident:      o.Counter("interferometry_batch_walk_l1d_resident_total", "batched trace walks whose L1D was proven eviction-free in every lane, skipping the set walks of repeat data accesses"),
 		compileSec:       o.Histogram("interferometry_stage_compile_seconds", "reorder+link+check stage latency", obs.DurationBuckets),
-		runSec:           o.Histogram("interferometry_stage_run_seconds", "measurement stage latency", obs.DurationBuckets),
+		runSec:           o.Histogram("interferometry_stage_run_seconds", "measurement stage latency: a machine replay, or for a batch-walked unit only the cached-replay lookup plus noise synthesis (the walk is in interferometry_stage_walk_seconds)", obs.DurationBuckets),
 		fitSec:           o.Histogram("interferometry_stage_fit_seconds", "plausibility-check+record stage latency", obs.DurationBuckets),
 		layoutSec:        o.Histogram("interferometry_layout_seconds", "per-layout measure latency including retries", obs.DurationBuckets),
 		walkSec:          o.Histogram("interferometry_stage_walk_seconds", "batched trace walk latency, one per walked chunk", obs.DurationBuckets),

@@ -8,7 +8,9 @@ import (
 
 	"interferometry/internal/core"
 	"interferometry/internal/faultinject"
+	"interferometry/internal/heap"
 	"interferometry/internal/obs"
+	"interferometry/internal/progen"
 )
 
 // observedCampaign runs a small campaign with full observability and
@@ -186,6 +188,9 @@ func checkCampaignMetrics(t *testing.T, ds *core.Dataset, m *obs.Metrics, n, wal
 	if n := m.Histogram("interferometry_stage_walk_seconds", "", obs.DurationBuckets).Count(); n != uint64(walks) {
 		t.Errorf("walk-stage histogram saw %d walks, want %d", n, walks)
 	}
+	// The test program's code overflows L1I sets in every layout, and its
+	// data fits L1D: each walk is L1D-resident only.
+	checkResidencyCounters(t, m, 0, uint64(walks))
 	busy := m.Gauge("interferometry_worker_busy_seconds", "").Value()
 	if busy <= 0 {
 		t.Errorf("worker busy time %v, want > 0", busy)
@@ -203,6 +208,58 @@ func checkCampaignMetrics(t *testing.T, ds *core.Dataset, m *obs.Metrics, n, wal
 	}
 	if !json.Valid(buf.Bytes()) {
 		t.Error("metrics JSON export invalid")
+	}
+}
+
+// checkResidencyCounters requires the resident-walk counters to read
+// exactly l1i and l1d, and the fallback counter zero.
+func checkResidencyCounters(t *testing.T, m *obs.Metrics, l1i, l1d uint64) {
+	t.Helper()
+	if n := m.Counter("interferometry_batch_walk_l1i_resident_total", "").Value(); n != l1i {
+		t.Errorf("L1I-resident walks = %d, want %d", n, l1i)
+	}
+	if n := m.Counter("interferometry_batch_walk_l1d_resident_total", "").Value(); n != l1d {
+		t.Errorf("L1D-resident walks = %d, want %d", n, l1d)
+	}
+	if n := m.Counter("interferometry_batch_walk_fallbacks_total", "").Value(); n != 0 {
+		t.Errorf("batch walk fallbacks = %d, want 0", n)
+	}
+}
+
+// TestObservedResidencyCounters golden-pins the resident-walk counters
+// on 400.perlbench, two workers of one chunk each: under the bump heap
+// both walks are resident in both banks, under the randomized heap a
+// lane overflows an L1D set, so they are L1I-resident only.
+func TestObservedResidencyCounters(t *testing.T) {
+	spec, ok := progen.ByName("400.perlbench")
+	if !ok {
+		t.Fatal("missing preset")
+	}
+	prog := progen.MustGenerate(spec)
+	for _, tc := range []struct {
+		mode     heap.Mode
+		l1i, l1d uint64
+	}{
+		{heap.ModeBump, 2, 2},
+		{heap.ModeRandomized, 2, 0},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			m := obs.NewMetrics()
+			cfg := core.CampaignConfig{
+				Program:   prog,
+				InputSeed: 1,
+				Budget:    200000,
+				Layouts:   16,
+				BaseSeed:  7,
+				HeapMode:  tc.mode,
+				Workers:   2,
+				Obs:       &obs.Observer{Metrics: m},
+			}
+			if _, err := core.RunCampaign(cfg); err != nil {
+				t.Fatal(err)
+			}
+			checkResidencyCounters(t, m, tc.l1i, tc.l1d)
+		})
 	}
 }
 

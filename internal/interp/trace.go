@@ -14,6 +14,7 @@ package interp
 
 import (
 	"fmt"
+	"sync"
 
 	"interferometry/internal/isa"
 )
@@ -57,6 +58,10 @@ type Trace struct {
 
 	// StoppedBy describes which stop rule ended the run.
 	StoppedBy StopReason
+
+	// factsOnce guards facts, the lazily computed repeat facts (Facts).
+	factsOnce sync.Once
+	facts     *Facts
 }
 
 // StopReason says why trace generation ended.

@@ -109,6 +109,10 @@ type Log struct {
 	app   *atomicio.Appender
 	state map[string]*CampaignState
 	order []string // campaign IDs in first-submit order
+	// live counts the campaigns in state that are not finalized. apply
+	// keeps it current on every Final transition between "" and
+	// non-empty, so reading it never scans the log's history.
+	live int
 }
 
 // Open replays an existing log (tolerating one torn tail line), opens
@@ -219,9 +223,11 @@ func (l *Log) apply(rec Record) {
 			// Resubmission of a known campaign: reopen it with the fresh
 			// spec. Earlier task records stay — the campaign is the same
 			// deterministic function, so prior terminal states hold.
-			s.Tenant, s.Priority, s.Spec, s.Final = rec.Tenant, rec.Priority, rec.Spec, ""
+			l.setFinal(s, "")
+			s.Tenant, s.Priority, s.Spec = rec.Tenant, rec.Priority, rec.Spec
 			return
 		}
+		l.live++
 		l.state[rec.Campaign] = &CampaignState{
 			ID:       rec.Campaign,
 			Tenant:   rec.Tenant,
@@ -243,9 +249,21 @@ func (l *Log) apply(rec Record) {
 		}
 	case OpFinal:
 		if s, ok := l.state[rec.Campaign]; ok {
-			s.Final = rec.State
+			l.setFinal(s, rec.State)
 		}
 	}
+}
+
+// setFinal sets s.Final and moves the live count by the transition:
+// finalizing a live campaign retires it, reopening a finalized one (a
+// resubmit) revives it, and a second Final changes nothing.
+func (l *Log) setFinal(s *CampaignState, final string) {
+	if s.Live() && final != "" {
+		l.live--
+	} else if !s.Live() && final == "" {
+		l.live++
+	}
+	s.Final = final
 }
 
 // Append durably writes one record: it is fsynced before Append
@@ -350,6 +368,7 @@ func (l *Log) Compact() error {
 	}
 	l.app = app
 	l.order = live
+	l.live = len(live)
 	l.compactions.Inc()
 	l.updateLiveGauge()
 	return nil
@@ -359,21 +378,11 @@ func (l *Log) Compact() error {
 func (l *Log) Live() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.liveLocked()
-}
-
-func (l *Log) liveLocked() int {
-	n := 0
-	for _, s := range l.state {
-		if s.Live() {
-			n++
-		}
-	}
-	return n
+	return l.live
 }
 
 func (l *Log) updateLiveGauge() {
-	l.liveG.Set(float64(l.liveLocked()))
+	l.liveG.Set(float64(l.live))
 }
 
 // Close closes the appender. Further appends fail; the file stays.

@@ -9,6 +9,7 @@ import (
 
 	"interferometry/internal/jobqueue/wal"
 	"interferometry/internal/obs"
+	"interferometry/internal/xrand"
 )
 
 func openLog(t *testing.T, path string, o *obs.Observer) (*wal.Log, []*wal.CampaignState) {
@@ -254,5 +255,86 @@ func TestResubmitReopensFinalizedCampaign(t *testing.T) {
 	}
 	if s.Tasks[0] != wal.TaskCompleted {
 		t.Fatalf("reopened tasks %v, want layout 0 kept", s.Tasks)
+	}
+}
+
+// TestLiveCountMatchesRecount drives a seeded random mix of submits,
+// resubmits of finalized campaigns, task records and single, double and
+// unknown-campaign Finals through the log, with Compacts and reopens
+// (replays) between them. After every step Live() and the live gauge
+// must equal a full recount of the replayed states' Final fields.
+func TestLiveCountMatchesRecount(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "campaignd.wal")
+	m := obs.NewMetrics()
+	o := &obs.Observer{Metrics: m}
+	l, _ := openLog(t, path, o)
+	rng := xrand.New(0x11fe)
+	spec := json.RawMessage(`{"benchmark":"429.mcf","layouts":2}`)
+	final := map[string]string{} // the model: campaign id → Final
+	check := func(step int, what string) {
+		t.Helper()
+		want := 0
+		for _, f := range final {
+			if f == "" {
+				want++
+			}
+		}
+		if got := l.Live(); got != want {
+			t.Fatalf("step %d (%s): Live() = %d, recount %d", step, what, got, want)
+		}
+		if got := m.Gauge("campaignd_wal_live_campaigns", "").Value(); got != float64(want) {
+			t.Fatalf("step %d (%s): live gauge = %v, recount %d", step, what, got, want)
+		}
+	}
+	ids := []string{"a", "b", "c", "d", "e", "f"}
+	for step := 0; step < 400; step++ {
+		id := ids[rng.Intn(len(ids))]
+		var what string
+		var err error
+		switch op := rng.Intn(10); {
+		case op < 3:
+			what = "submit " + id
+			err = l.Submit(id, "", 0, spec)
+			final[id] = ""
+		case op < 5:
+			what = "task " + id
+			err = l.Task(id, rng.Intn(2), wal.TaskCompleted)
+		case op < 8:
+			state := []string{"done", "failed", "cancelled"}[rng.Intn(3)]
+			what = "final " + id + " " + state
+			err = l.Final(id, state)
+			if _, ok := final[id]; ok {
+				final[id] = state
+			}
+		case op < 9:
+			what = "compact"
+			err = l.Compact()
+			for id, f := range final {
+				if f != "" {
+					delete(final, id)
+				}
+			}
+		default:
+			what = "reopen"
+			if err = l.Close(); err == nil {
+				var states []*wal.CampaignState
+				l, states = openLog(t, path, o)
+				if len(states) != len(final) {
+					t.Fatalf("step %d: replayed %d campaigns, model holds %d", step, len(states), len(final))
+				}
+				for _, s := range states {
+					if s.Final != final[s.ID] {
+						t.Fatalf("step %d: replayed %s Final %q, model %q", step, s.ID, s.Final, final[s.ID])
+					}
+				}
+			}
+		}
+		if err != nil {
+			t.Fatalf("step %d (%s): %v", step, what, err)
+		}
+		check(step, what)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

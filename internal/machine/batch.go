@@ -28,6 +28,13 @@ import (
 // plus per-lane deltas — float addition is not associative) and exactly
 // its sequence of table updates.
 //
+// Before each walk, Run proves per L1 bank whether any lane's set can
+// ever evict (see proveL1I and proveL1D). A bank that provably never
+// evicts in any lane skips the set walks whose outcome is already
+// decided — a repeat execution of a block, a repeat access to the same
+// placement instance and offset — and counts them as hits at readout.
+// The outputs are unchanged; DESIGN.md §11 has the argument.
+//
 // A Batch is not safe for concurrent use; create one per goroutine. The
 // layout-dependent tables are rebuilt on every Run, so a Batch never
 // serves stale block tables. Like Machine, a steady-state Run performs
@@ -83,6 +90,18 @@ type Batch struct {
 	seeds    []uint64
 	hcfgs    []heap.Config
 	masks    []uint64 // FetchRows miss-mask scratch
+
+	// Residency proof scratch: resCnt[ki*sets+set] distinct lines seen in
+	// lane ki's set, their tags in resTags[(ki*sets+set)*ways ...]. Sized
+	// for the larger of the two L1 geometries.
+	resCnt  []uint8
+	resTags []uint32
+	// residentI and residentD record which L1 banks the last Run proved
+	// eviction-free in every lane, and so walked on the resident path.
+	residentI, residentD bool
+	// fetched[bid] marks the blocks the current walk has already fetched
+	// (rebuilt per Run; used on the L1I-resident path).
+	fetched []bool
 }
 
 // batchShared is the layout-independent per-block state, computed once
@@ -136,6 +155,8 @@ func NewBatch(cfg Config, maxLanes int) (*Batch, error) {
 	if l := l2.AddrLimit(); l < lim {
 		lim = l
 	}
+	sets := max(cfg.L1I.Sets(), cfg.L1D.Sets())
+	lines := max(cfg.L1I.Sets()*cfg.L1I.Ways, cfg.L1D.Sets()*cfg.L1D.Ways)
 	return &Batch{
 		cfg:       cfg,
 		maxLanes:  maxLanes,
@@ -154,6 +175,8 @@ func NewBatch(cfg Config, maxLanes int) (*Batch, error) {
 		seeds:     make([]uint64, maxLanes),
 		hcfgs:     make([]heap.Config, maxLanes),
 		masks:     make([]uint64, maxLanes),
+		resCnt:    make([]uint8, maxLanes*sets),
+		resTags:   make([]uint32, maxLanes*lines),
 	}, nil
 }
 
@@ -166,8 +189,14 @@ func (b *Batch) MaxLanes() int { return b.maxLanes }
 // Invalidate drops the cached layout-independent program tables, for the
 // (pathological) case of an isa.Program mutated in place between runs.
 // The layout-dependent tables are rebuilt on every Run and need no
-// invalidation.
+// invalidation. Nothing else on the engine refers to a program or a
+// trace, so an invalidated engine pins neither.
 func (b *Batch) Invalidate() { b.loadedProg = nil }
+
+// Resident reports which L1 banks the last Run proved eviction-free in
+// every lane and walked on the resident path, skipping the set walks of
+// provable hits.
+func (b *Batch) Resident() (l1i, l1d bool) { return b.residentI, b.residentD }
 
 // Run replays the trace once against len(specs) layouts and returns one
 // Counters and one raw (unrounded) deterministic cycle count per lane,
@@ -232,6 +261,8 @@ func (b *Batch) Run(specs []RunSpec) ([]Counters, []float64, error) {
 	if err := b.load(specs); err != nil {
 		return nil, nil, err
 	}
+	facts := trace.Facts()
+	b.residentI = b.proveL1I(facts, k)
 
 	// Power-on state for every lane.
 	b.l1i.Flush()
@@ -247,24 +278,20 @@ func (b *Batch) Run(specs []RunSpec) ([]Counters, []float64, error) {
 		b.counters[ki] = Counters{}
 	}
 
-	// Heap and global placement.
-	prog := trace.Program
+	// Heap and global placement. The L1D proof replays the allocation
+	// events through the table, so the walk gets a freshly reset one.
 	for ki := 0; ki < k; ki++ {
 		b.hcfgs[ki] = heap.Config{Base: specs[ki].Exe.DataLimit + 0x1000000}
 		b.seeds[ki] = specs[ki].HeapSeed
 	}
-	b.table.Reset(len(prog.Objects), mode, b.seeds[:k], b.hcfgs[:k])
-	for i := range prog.Objects {
-		if !prog.Objects[i].Heap {
-			row := b.table.Row(isa.ObjectID(i))
-			for ki := 0; ki < k; ki++ {
-				row[ki] = specs[ki].Exe.GlobalBase[i]
-			}
-			b.table.MarkPlaced(isa.ObjectID(i))
-		}
+	b.placeGlobals(specs)
+	var replayed bool
+	b.residentD, replayed = b.proveL1D(trace, facts, k)
+	if replayed {
+		b.placeGlobals(specs)
 	}
 
-	if err := b.walk(trace, k); err != nil {
+	if err := b.walk(trace, facts, k); err != nil {
 		return nil, nil, err
 	}
 
@@ -278,6 +305,20 @@ func (b *Batch) Run(specs []RunSpec) ([]Counters, []float64, error) {
 		c.IndirectBranches = trace.IndirectCalls
 		c.BranchesRetired = c.CondBranches + c.IndirectBranches + trace.Calls + trace.Returns
 		c.BranchMispredicts = c.CondMispredicts + c.IndirectMispreds
+		// The resident paths' skipped accesses are all hits: every
+		// repeat execution of a block hits on each of its fetch blocks,
+		// and every repeat data access hits.
+		if b.residentI {
+			var n uint64
+			for i, bid := range facts.Blocks {
+				j := int(bid)*k + ki
+				n += facts.Repeats[i] * uint64(b.lineN[j]+b.extraHits[j])
+			}
+			b.l1i.AddHits(ki, n)
+		}
+		if b.residentD {
+			b.l1d.AddHits(ki, facts.MemRepeats)
+		}
 		c.L1IAccesses = b.l1i.Accesses(ki)
 		c.L1IMisses = b.l1i.Misses(ki)
 		c.L1DAccesses = b.l1d.Accesses(ki)
@@ -290,87 +331,215 @@ func (b *Batch) Run(specs []RunSpec) ([]Counters, []float64, error) {
 	return b.counters[:k], b.dets[:k], nil
 }
 
+// placeGlobals resets the placement table for a run over specs (the
+// per-lane heap configs and seeds must be set) and places every global
+// at its link-time address in each lane.
+func (b *Batch) placeGlobals(specs []RunSpec) {
+	k := len(specs)
+	prog := specs[0].Trace.Program
+	b.table.Reset(len(prog.Objects), specs[0].HeapMode, b.seeds[:k], b.hcfgs[:k])
+	for i := range prog.Objects {
+		if !prog.Objects[i].Heap {
+			row := b.table.Row(isa.ObjectID(i))
+			for ki := 0; ki < k; ki++ {
+				row[ki] = specs[ki].Exe.GlobalBase[i]
+			}
+			b.table.MarkPlaced(isa.ObjectID(i))
+		}
+	}
+}
+
+// The residency proofs. A true-LRU set evicts only when a new line
+// arrives while all its ways are valid, so a set that never sees more
+// distinct lines than it has ways never evicts, and in such a set an
+// access hits exactly when its line was touched before. L1I and L1D are
+// filled only by their own access streams (prefetches install into L2
+// alone), so each bank's proof needs only the lines its own stream will
+// touch. The proofs count, per lane and set, the distinct lines the
+// whole run will touch, in small per-set arrays of at most Ways tags;
+// the first set that would need one more fails the bank.
+
+// resGeom is one L1 geometry as the proofs index it.
+type resGeom struct {
+	lineShift, tagShift uint
+	setMask             uint64
+	sets, ways          int
+}
+
+func geomOf(c cache.Config) resGeom {
+	sets := c.Sets()
+	return resGeom{
+		lineShift: uint(bits.TrailingZeros(uint(c.LineBytes))),
+		tagShift:  uint(bits.TrailingZeros(uint(sets))),
+		setMask:   uint64(sets - 1),
+		sets:      sets,
+		ways:      c.Ways,
+	}
+}
+
+// tally records line as touched in lane ki and reports false when its
+// set already holds Ways other distinct lines. Lines stay below the
+// bank address limit, checked before any proof runs (executable
+// segments) or inside it (heap placements), so the 32-bit tag is exact.
+func (b *Batch) tally(g resGeom, ki int, line uint64) bool {
+	set := ki*g.sets + int(line&g.setMask)
+	tag := uint32(line >> g.tagShift)
+	n := int(b.resCnt[set])
+	tags := b.resTags[set*g.ways : set*g.ways+g.ways]
+	for _, t := range tags[:n] {
+		if t == tag {
+			return true
+		}
+	}
+	if n == g.ways {
+		return false
+	}
+	tags[n] = tag
+	b.resCnt[set]++
+	return true
+}
+
+// proveL1I reports whether no lane's L1I can ever evict in this run:
+// per lane, the lines of every executed block, at most Ways per set.
+// When it holds, a block's repeat execution hits on every line in every
+// lane.
+func (b *Batch) proveL1I(facts *interp.Facts, k int) bool {
+	g := geomOf(b.cfg.L1I)
+	clear(b.resCnt[:k*g.sets])
+	for ki := 0; ki < k; ki++ {
+		for _, bid := range facts.Blocks {
+			j := int(bid)*k + ki
+			line := b.fetchFirst[j] >> g.lineShift
+			for n := b.lineN[j]; n > 0; n-- {
+				if !b.tally(g, ki, line) {
+					return false
+				}
+				line++
+			}
+		}
+	}
+	return true
+}
+
+// proveL1D reports whether no lane's L1D can ever evict in this run:
+// per lane, the lines of the trace's distinct (instance, offset) pairs,
+// at most Ways per set. It needs each instance's per-lane base, so it
+// replays the allocation events through the placement table (freshly
+// reset, globals placed), visiting each instance's pairs as the
+// instance is placed; replayed reports whether it touched the table,
+// which must then be reset before the walk. A pair whose object is not
+// placed fails the proof (the walk then reports the unplaced access),
+// as does a heap placement beyond the bank address limit (the walk then
+// reports it). When the proof holds, an access repeating an earlier
+// (instance, offset) hits in every lane: same instance, same address.
+func (b *Batch) proveL1D(trace *interp.Trace, facts *interp.Facts, k int) (resident, replayed bool) {
+	g := geomOf(b.cfg.L1D)
+	clear(b.resCnt[:k*g.sets])
+	prog := trace.Program
+	table := b.table
+	pairs := facts.Pairs
+	// tallyPair tallies pair p at the instance's bases row. A lane whose
+	// line is the one pair p-1 touched in the same instance (offsets
+	// ascend within an instance) has nothing new to tally.
+	tallyPair := func(p int, row []uint64) bool {
+		off := pairs[p].Offset()
+		prev, same := uint64(0), p > 0 && pairs[p-1].Instance() == pairs[p].Instance()
+		if same {
+			prev = pairs[p-1].Offset()
+		}
+		for ki, base := range row {
+			line := (base + off) >> g.lineShift
+			if same && line == (base+prev)>>g.lineShift {
+				continue
+			}
+			if !b.tally(g, ki, line) {
+				return false
+			}
+		}
+		return true
+	}
+	nObj := uint64(len(prog.Objects))
+	p := 0
+	for ; p < len(pairs) && pairs[p].Instance() < nObj; p++ {
+		obj := isa.ObjectID(pairs[p].Instance())
+		if !table.Placed(obj) || !tallyPair(p, table.Row(obj)) {
+			return false, false
+		}
+	}
+	// Pairs are sorted by instance, and instance nObj+e is placed by
+	// allocation event e: replay events until the last pair's instance.
+	for e := 0; p < len(pairs); e++ {
+		obj := trace.AllocObj[e]
+		replayed = true
+		if trace.AllocKind[e] != isa.AllocNew {
+			table.Free(obj)
+			continue
+		}
+		size := prog.Objects[obj].Size
+		table.Alloc(obj, size)
+		row := table.Row(obj)
+		for _, base := range row {
+			if base+size > b.addrLimit {
+				return false, true
+			}
+		}
+		for inst := nObj + uint64(e); p < len(pairs) && pairs[p].Instance() == inst; p++ {
+			if !tallyPair(p, row) {
+				return false, true
+			}
+		}
+	}
+	return true, replayed
+}
+
 // walk is the shared trace walk: one decode of the block sequence and
 // the per-block event streams feeds every lane. The per-lane work
 // inside each event preserves the scalar path's operation order lane by
 // lane, which is what makes the cycle floats bit-identical.
-func (b *Batch) walk(trace *interp.Trace, k int) error {
+//
+// On a resident bank (see Run) the walk skips the set walks of provable
+// hits, which keeps the outputs exact for four reasons. A skipped
+// access is a hit in the scalar path too, which adds no penalty there,
+// so each lane's cycle additions keep their scalar order. L2 sees only
+// L1 misses and prefetches, and no skipped access is a miss, so the L2
+// access sequence is unchanged. A skipped access leaves its set's LRU
+// order and the bank's last-line memo stale, but without evictions the
+// LRU order decides no outcome, and the memo only ever claims a hit for
+// a line that is still present. And the skipped hits are counted at
+// readout.
+func (b *Batch) walk(trace *interp.Trace, facts *interp.Facts, k int) error {
 	var (
 		cfg       = &b.cfg
 		l2pen     = cfg.L2MissPenalty * cfg.L2Overlap
-		lineBytes = uint64(cfg.L1I.LineBytes)
 		cycles    = b.cycles[:k]
 		counters  = b.counters[:k]
 		table     = b.table
-		l1i, l1d  = b.l1i, b.l1d
-		l2        = b.l2
+		l1d, l2   = b.l1d, b.l2
 		xeon      = b.xeon
 		btb       = b.btb
 		termAddrs = b.termAddrs
 		uniform   = b.uniform
+		residentI = b.residentI
+		residentD = b.residentD
+		fetched   = b.fetched
+		memRepeat = facts.MemRepeat
 		condIdx   uint64
 		indIdx    int
 		memIdx    int
 		allocIdx  int
 	)
+	clear(fetched)
 	for _, bid := range trace.BlockSeq {
 		sh := &b.shared[bid]
-		base := int(bid) * k
-		firsts := b.fetchFirst[base : base+k]
-		lineNs := b.lineN[base : base+k]
-		extras := b.extraHits[base : base+k]
-
-		// Instruction fetch, line-grouped: one fused L1I row walk per
-		// block (all lanes' set walks in one FetchRows call), then per
-		// lane the miss penalties and a bulk hit count for the further
-		// fetch blocks in each line. Base cycles are added first, as in
-		// the scalar loop; only the first access to a line can miss, so
-		// the penalty sequence is exactly the scalar per-fetch-block one
-		// — AccessSeq already resolved the full line mask before any L2
-		// access, and the L2 walk never touches L1I state, so splitting
-		// the phases across lanes changes nothing a lane can observe.
-		if !sh.wide {
-			masks := b.masks[:k]
-			l1i.FetchRows(firsts, lineNs, masks)
-			for ki := 0; ki < k; ki++ {
-				cy := cycles[ki] + sh.baseCycles
-				fa := firsts[ki]
-				// Ascending mask-bit order keeps the penalty additions in
-				// the scalar per-fetch-block sequence.
-				for mask := masks[ki]; mask != 0; mask &= mask - 1 {
-					j := bits.TrailingZeros64(mask)
-					cy += cfg.L1IMissPenalty
-					if !l2.Access(ki, fa+uint64(j)*lineBytes) {
-						cy += l2pen
-					}
-				}
-				l1i.AddHits(ki, uint64(extras[ki]))
-				cycles[ki] = cy
+		if residentI && fetched[bid] {
+			// A repeat execution on a resident L1I: every line of the
+			// block hits in every lane, so only the base cycles move.
+			for ki := range cycles {
+				cycles[ki] += sh.baseCycles
 			}
 		} else {
-			// A block wide enough to overflow the 64-bit miss mask in
-			// some layout: chunk the line walk per lane.
-			for ki := 0; ki < k; ki++ {
-				cy := cycles[ki] + sh.baseCycles
-				fa := firsts[ki]
-				for rem := lineNs[ki]; rem > 0; {
-					c := rem
-					if c > 64 {
-						c = 64
-					}
-					for mask := l1i.AccessSeq(ki, fa, c); mask != 0; mask &= mask - 1 {
-						j := bits.TrailingZeros64(mask)
-						cy += cfg.L1IMissPenalty
-						if !l2.Access(ki, fa+uint64(j)*lineBytes) {
-							cy += l2pen
-						}
-					}
-					fa += uint64(c) * lineBytes
-					rem -= c
-				}
-				l1i.AddHits(ki, uint64(extras[ki]))
-				cycles[ki] = cy
-			}
+			fetched[bid] = true
+			b.fetch(sh, bid, k)
 		}
 
 		// Allocation events, decoded once and fanned across lanes. Heap
@@ -395,12 +564,17 @@ func (b *Batch) walk(trace *interp.Trace, k int) error {
 			}
 		}
 
-		// Memory accesses.
+		// Memory accesses. On a resident L1D an exact repeat of an
+		// earlier (instance, offset) hits in every lane: no set walk.
 		for i := int32(0); i < sh.nMems; i++ {
 			obj, off := trace.MemObj[memIdx], uint64(trace.MemOff[memIdx])
+			repeat := memRepeat[memIdx>>6]>>(memIdx&63)&1 != 0
 			memIdx++
 			if !table.Placed(obj) {
 				return fmt.Errorf("machine: access to unplaced object %d in block %d", obj, bid)
+			}
+			if residentD && repeat {
+				continue
 			}
 			row := table.Row(obj)
 			for mask := l1d.AccessRow(row, off); mask != 0; mask &= mask - 1 {
@@ -464,6 +638,72 @@ func (b *Batch) walk(trace *interp.Trace, k int) error {
 	return nil
 }
 
+// fetch walks one execution of block bid's instruction fetch in every
+// lane, line-grouped: one fused L1I row walk per block (all lanes' set
+// walks in one FetchRows call), then per lane the miss penalties and a
+// bulk hit count for the further fetch blocks in each line. Base cycles
+// are added first, as in the scalar loop; only the first access to a
+// line can miss, so the penalty sequence is exactly the scalar
+// per-fetch-block one — AccessSeq already resolved the full line mask
+// before any L2 access, and the L2 walk never touches L1I state, so
+// splitting the phases across lanes changes nothing a lane can observe.
+func (b *Batch) fetch(sh *batchShared, bid isa.BlockID, k int) {
+	var (
+		cfg       = &b.cfg
+		l2pen     = cfg.L2MissPenalty * cfg.L2Overlap
+		lineBytes = uint64(cfg.L1I.LineBytes)
+		cycles    = b.cycles[:k]
+		l1i, l2   = b.l1i, b.l2
+		base      = int(bid) * k
+		firsts    = b.fetchFirst[base : base+k]
+		lineNs    = b.lineN[base : base+k]
+		extras    = b.extraHits[base : base+k]
+	)
+	if !sh.wide {
+		masks := b.masks[:k]
+		l1i.FetchRows(firsts, lineNs, masks)
+		for ki := 0; ki < k; ki++ {
+			cy := cycles[ki] + sh.baseCycles
+			fa := firsts[ki]
+			// Ascending mask-bit order keeps the penalty additions in
+			// the scalar per-fetch-block sequence.
+			for mask := masks[ki]; mask != 0; mask &= mask - 1 {
+				j := bits.TrailingZeros64(mask)
+				cy += cfg.L1IMissPenalty
+				if !l2.Access(ki, fa+uint64(j)*lineBytes) {
+					cy += l2pen
+				}
+			}
+			l1i.AddHits(ki, uint64(extras[ki]))
+			cycles[ki] = cy
+		}
+	} else {
+		// A block wide enough to overflow the 64-bit miss mask in
+		// some layout: chunk the line walk per lane.
+		for ki := 0; ki < k; ki++ {
+			cy := cycles[ki] + sh.baseCycles
+			fa := firsts[ki]
+			for rem := lineNs[ki]; rem > 0; {
+				c := rem
+				if c > 64 {
+					c = 64
+				}
+				for mask := l1i.AccessSeq(ki, fa, c); mask != 0; mask &= mask - 1 {
+					j := bits.TrailingZeros64(mask)
+					cy += cfg.L1IMissPenalty
+					if !l2.Access(ki, fa+uint64(j)*lineBytes) {
+						cy += l2pen
+					}
+				}
+				fa += uint64(c) * lineBytes
+				rem -= c
+			}
+			l1i.AddHits(ki, uint64(extras[ki]))
+			cycles[ki] = cy
+		}
+	}
+}
+
 // load rebuilds the per-lane block tables (and, when the program
 // changed, the shared layout-independent tables).
 func (b *Batch) load(specs []RunSpec) error {
@@ -477,9 +717,11 @@ func (b *Batch) load(specs []RunSpec) error {
 		if cap(b.shared) < nb {
 			b.shared = make([]batchShared, nb)
 			b.calleeStart = make([]int32, nb)
+			b.fetched = make([]bool, nb)
 		} else {
 			b.shared = b.shared[:nb]
 			b.calleeStart = b.calleeStart[:nb]
+			b.fetched = b.fetched[:nb]
 		}
 		slot := int32(0)
 		for id := range prog.Blocks {

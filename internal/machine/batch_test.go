@@ -337,8 +337,28 @@ func TestBatchRunZeroAlloc(t *testing.T) {
 // reported as a custom metric for direct comparison with the scalar
 // path (and across widths — wider batches amortize the shared trace
 // decode further until the K-wide cache tags outgrow the host caches).
+// perlbench walks L1I-resident in both heap modes and L1D-resident
+// under the bump heap; the 403.gcc row overflows both L1s in every
+// lane, so it holds the non-resident walk to the same zero-alloc gate.
 func BenchmarkBatchRun(b *testing.B) {
-	spec, ok := progen.ByName("400.perlbench")
+	perlbench := batchBenchSpecs(b, "400.perlbench", 32)
+	for _, k := range []int{8, 16, 32} {
+		for _, mode := range []heap.Mode{heap.ModeBump, heap.ModeRandomized} {
+			b.Run(fmt.Sprintf("%s/k=%d", mode, k), func(b *testing.B) {
+				benchBatchRun(b, perlbench[:k], mode)
+			})
+		}
+	}
+	gcc := batchBenchSpecs(b, "403.gcc", 32)
+	b.Run("403.gcc/bump/k=32", func(b *testing.B) {
+		benchBatchRun(b, gcc, heap.ModeBump)
+	})
+}
+
+// batchBenchSpecs builds k layouts of the preset over its
+// 200k-instruction trace.
+func batchBenchSpecs(b *testing.B, preset string, k int) []machine.RunSpec {
+	spec, ok := progen.ByName(preset)
 	if !ok {
 		b.Fatal("missing spec")
 	}
@@ -347,8 +367,7 @@ func BenchmarkBatchRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const kMax = 32
-	specs := make([]machine.RunSpec, kMax)
+	specs := make([]machine.RunSpec, k)
 	for ki := range specs {
 		exe, err := toolchain.BuildLayout(prog, uint64(ki+1), toolchain.CompileConfig{}, toolchain.LinkConfig{})
 		if err != nil {
@@ -356,29 +375,29 @@ func BenchmarkBatchRun(b *testing.B) {
 		}
 		specs[ki] = machine.RunSpec{Exe: exe, Trace: tr, HeapSeed: 3}
 	}
-	for _, k := range []int{8, 16, 32} {
-		for _, mode := range []heap.Mode{heap.ModeBump, heap.ModeRandomized} {
-			b.Run(fmt.Sprintf("%s/k=%d", mode, k), func(b *testing.B) {
-				batch, err := machine.NewBatch(machine.XeonE5440(), k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for ki := range specs {
-					specs[ki].HeapMode = mode
-				}
-				if _, _, err := batch.Run(specs[:k]); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := batch.Run(specs[:k]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(k)*float64(b.N)/b.Elapsed().Seconds(), "layouts/s")
-			})
+	return specs
+}
+
+// benchBatchRun times warm Batch.Run calls over specs in the heap mode.
+func benchBatchRun(b *testing.B, specs []machine.RunSpec, mode heap.Mode) {
+	k := len(specs)
+	batch, err := machine.NewBatch(machine.XeonE5440(), k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for ki := range specs {
+		specs[ki].HeapMode = mode
+	}
+	if _, _, err := batch.Run(specs); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := batch.Run(specs); err != nil {
+			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(k)*float64(b.N)/b.Elapsed().Seconds(), "layouts/s")
 }

@@ -465,10 +465,13 @@ func (b *Bank) Misses(k int) uint64 { return b.misses[k] }
 // Accesses returns lane k's hits+misses.
 func (b *Bank) Accesses(k int) uint64 { return b.hits[k] + b.misses[k] }
 
-// AddHits accounts n repeat accesses that the caller has proven are hits
-// with identity move-to-front — re-accesses of a line it just accessed in
-// lane k with no intervening access. The batch walk uses this to bulk
-// count the fetch blocks beyond the first in each cache line.
+// AddHits accounts n accesses to lane k that the caller has proven are
+// hits whose skipped move-to-front cannot change a later outcome: either
+// re-accesses of a line it just accessed in lane k with no intervening
+// access (identity move-to-front), or accesses to lines in sets that
+// provably never evict, where LRU order decides nothing. The batch walk
+// uses the first to bulk count the fetch blocks beyond the first in each
+// cache line, and the second for its L1-resident paths.
 func (b *Bank) AddHits(k int, n uint64) { b.hits[k] += n }
 
 // Flush invalidates all lines and zeroes all counters in every lane,
